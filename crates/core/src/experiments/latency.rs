@@ -9,7 +9,7 @@ use crate::experiments::spt::SourceSptPool;
 use crate::metrics::Distribution;
 use crate::snapshot::{EdgeDelta, Mode, NetworkSnapshot, NodeKind, StudyContext};
 use leo_data::traffic::CityPair;
-use leo_graph::with_thread_workspace;
+use leo_graph::{with_thread_workspace, CoreGraph, NodeId};
 use leo_util::span;
 use leo_util::telemetry::{Heartbeat, MetricSeries};
 
@@ -51,9 +51,16 @@ pub fn latency_study(ctx: &StudyContext, mode: Mode, threads: usize) -> Vec<Pair
 
 /// Run the latency study for several modes at once, sharing the
 /// per-timestep orbit/visibility pass across them and the incremental
-/// sweep state across consecutive timesteps, reusing one warm
-/// [`DijkstraWorkspace`] per worker. Returns one `Vec<PairStats>` per
-/// entry of `modes`, in order.
+/// sweep state across consecutive timesteps. Returns one
+/// `Vec<PairStats>` per entry of `modes`, in order.
+///
+/// **Routing**: each worker contracts every (snapshot, mode) graph into
+/// a [`CoreGraph`] over satellites and cities — relays and aircraft
+/// folded into two-leg edges, buffers reused across instants — and
+/// routes every source on it with
+/// [`DijkstraWorkspace::run_contracted`]. Its RTTs are bit-identical to
+/// full-graph Dijkstra ([`snapshot_rtts_on`]); DESIGN.md §"Relay
+/// contraction" has the argument.
 ///
 /// **Streaming**: the sweep folds into per-pair running
 /// `{min, max, reachable}` accumulators (exact — min/max folds and
@@ -61,15 +68,10 @@ pub fn latency_study(ctx: &StudyContext, mode: Mode, threads: usize) -> Vec<Pair
 /// collecting every snapshot first), holds O(pairs) state instead of
 /// O(snapshots × pairs), emits one `series` telemetry event per
 /// snapshot per mode (`rtt_ms_*`), and ticks a `latency_study`
-/// [`Heartbeat`] per snapshot.
+/// [`Heartbeat`] per snapshot. `contract` and `route` spans time the
+/// core-graph build and the SSSP fan-out per snapshot and mode.
 ///
-/// **Delta path**: when the study fits [`SourceSptPool`]'s budget, each
-/// (mode, source) keeps an incremental shortest-path tree repaired from
-/// the sweep's [`EdgeDelta`]s instead of re-running Dijkstra per
-/// snapshot — bit-identical RTTs by the `SptWorkspace` equivalence
-/// contract, so results are indistinguishable from the fallback.
-///
-/// [`DijkstraWorkspace`]: leo_graph::DijkstraWorkspace
+/// [`DijkstraWorkspace::run_contracted`]: leo_graph::DijkstraWorkspace::run_contracted
 pub fn latency_studies(ctx: &StudyContext, modes: &[Mode], threads: usize) -> Vec<Vec<PairStats>> {
     let _span = span!(
         "latency_study",
@@ -79,24 +81,28 @@ pub fn latency_studies(ctx: &StudyContext, modes: &[Mode], threads: usize) -> Ve
     );
     let times = ctx.config.snapshot_times_s.clone();
     let num_pairs = ctx.pairs.len();
-    let pooled = SourceSptPool::fits(ctx, modes.len());
+    let num_core = ctx.num_satellites() + ctx.ground.cities.len();
     let hb = Heartbeat::new("latency_study", times.len() as u64);
 
     /// Per-mode streaming state: per-pair running aggregates plus the
-    /// telemetry series and (budget permitting) the resident trees.
+    /// telemetry series.
     struct ModeAgg {
         min: Vec<f64>,
         max: Vec<f64>,
         reachable: Vec<u32>,
         series: MetricSeries,
-        spt: Option<SourceSptPool>,
     }
+    /// Per-worker state: the fold plus routing buffers reused across
+    /// instants and modes.
     struct Acc {
         total: usize,
         modes: Vec<ModeAgg>,
+        core: CoreGraph,
+        targets: Vec<NodeId>,
+        rtts: Vec<Option<f64>>,
     }
 
-    let acc = ctx.sweep_fold_deltas(
+    let acc = ctx.sweep_fold(
         &times,
         modes,
         threads,
@@ -109,18 +115,24 @@ pub fn latency_studies(ctx: &StudyContext, modes: &[Mode], threads: usize) -> Ve
                     max: vec![f64::NEG_INFINITY; num_pairs],
                     reachable: vec![0; num_pairs],
                     series: MetricSeries::new(rtt_series_name(m)),
-                    spt: pooled.then(|| SourceSptPool::new(ctx)),
                 })
                 .collect(),
+            core: CoreGraph::new(),
+            targets: Vec::new(),
+            rtts: vec![None; num_pairs],
         },
-        |acc, i, snaps, deltas| {
+        |acc, i, snaps| {
             for (mi, snap) in snaps.iter().enumerate() {
+                {
+                    let _s = span!("contract");
+                    acc.core.build_from(&snap.graph, num_core);
+                }
+                {
+                    let _s = span!("route");
+                    contracted_rtts(ctx, snap, &acc.core, &mut acc.targets, &mut acc.rtts);
+                }
                 let agg = &mut acc.modes[mi];
-                let rtts = match agg.spt.as_mut() {
-                    Some(pool) => snapshot_rtts_spt(ctx, snap, &deltas[mi], pool),
-                    None => snapshot_rtts_on(ctx, snap),
-                };
-                for (pi, r) in rtts.iter().enumerate() {
+                for (pi, r) in acc.rtts.iter().enumerate() {
                     if let Some(rtt) = *r {
                         agg.min[pi] = agg.min[pi].min(rtt);
                         agg.max[pi] = agg.max[pi].max(rtt);
@@ -165,6 +177,37 @@ pub fn latency_studies(ctx: &StudyContext, modes: &[Mode], threads: usize) -> Ve
                 .collect()
         })
         .collect()
+}
+
+/// RTTs (ms) for all pairs on `snap` into `out`: one early-exit SSSP
+/// per unique source city on `core`, the snapshot's relay-contracted
+/// graph, using this thread's warm workspace. Bit-identical to
+/// [`snapshot_rtts_on`].
+fn contracted_rtts(
+    ctx: &StudyContext,
+    snap: &NetworkSnapshot,
+    core: &CoreGraph,
+    targets: &mut Vec<NodeId>,
+    out: &mut [Option<f64>],
+) {
+    out.fill(None);
+    with_thread_workspace(|ws| {
+        for (src, pair_idxs) in ctx.pairs_by_src() {
+            targets.clear();
+            targets.extend(
+                pair_idxs
+                    .iter()
+                    .map(|&i| snap.city_node(ctx.pairs[i].dst as usize)),
+            );
+            let view = ws.run_contracted(core, &snap.graph, snap.city_node(*src as usize), targets);
+            for &i in pair_idxs {
+                let d = view.dist(snap.city_node(ctx.pairs[i].dst as usize));
+                if d.is_finite() {
+                    out[i] = Some(crate::rtt_ms(d));
+                }
+            }
+        }
+    });
 }
 
 /// Telemetry series name for per-snapshot RTT samples under `mode`.

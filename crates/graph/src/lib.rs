@@ -12,6 +12,10 @@
 //!   [`DijkstraWorkspace`] — reusable generation-stamped buffers so hot
 //!   loops pay O(touched) reset instead of per-call allocation (the
 //!   `_with` variants of every multi-path routine accept one).
+//! * [`CoreGraph`] — the exact relay contraction: satellites and cities
+//!   only, every `sat → relay → sat` bounce folded into one two-leg
+//!   edge, routed by [`DijkstraWorkspace::run_contracted`] with
+//!   distances bit-identical to the full graph's.
 //! * [`k_edge_disjoint_paths`] — the iterative shortest-path/edge-removal
 //!   scheme used for the throughput experiments' `k` sub-flows per pair.
 //! * [`connected_components`] — for the "fraction of satellites entirely
@@ -28,6 +32,7 @@
 //! per snapshot.
 
 mod components;
+mod contract;
 mod disjoint;
 mod graph;
 mod maxflow;
@@ -36,6 +41,7 @@ mod suurballe;
 mod yen;
 
 pub use components::{component_sizes, connected_components};
+pub use contract::{CoreGraph, CORE_D_MAX};
 pub use disjoint::{k_edge_disjoint_paths, k_edge_disjoint_paths_with};
 pub use graph::{EdgeId, Graph, GraphBuilder, NodeId};
 pub use maxflow::{max_flow, max_flow_with, FlowNetwork, MaxFlowWorkspace};

@@ -10,6 +10,7 @@
 //!   so resetting between runs costs O(nodes touched), not O(n). The hot
 //!   experiment loops keep one workspace per worker thread.
 
+use crate::contract::{CoreGraph, CORE_D_MAX};
 use crate::graph::{EdgeId, Graph, NodeId};
 use leo_util::telemetry::Counter;
 use std::cmp::Ordering;
@@ -22,6 +23,9 @@ static DIJKSTRA_SETTLED: Counter = Counter::new("dijkstra_nodes_settled");
 /// Telemetry: runs that reused a warm workspace (every run after the
 /// first on a given [`DijkstraWorkspace`]).
 static WORKSPACE_REUSES: Counter = Counter::new("workspace_reuses");
+/// Telemetry: [`DijkstraWorkspace::run_contracted`] sources answered on
+/// the full graph instead of the core graph.
+static CONTRACT_FALLBACKS: Counter = Counter::new("contract_fallbacks");
 /// Telemetry: incremental [`SptWorkspace::apply`] repairs.
 static SPT_REPAIRS: Counter = Counter::new("spt_repairs");
 /// Telemetry: full [`SptWorkspace::rebuild`] runs (chunk starts and any
@@ -140,6 +144,12 @@ pub struct DijkstraWorkspace {
     source: NodeId,
     /// Completed runs on this workspace.
     runs: u64,
+    /// The most recent run was [`DijkstraWorkspace::run_contracted`] on
+    /// a core graph: distances only, no parent edges.
+    dist_only: bool,
+    /// Contracted runs on this workspace that fell back to the full
+    /// graph.
+    fallbacks: u64,
 }
 
 impl DijkstraWorkspace {
@@ -151,6 +161,12 @@ impl DijkstraWorkspace {
     /// Completed runs on this workspace.
     pub fn runs(&self) -> u64 {
         self.runs
+    }
+
+    /// Contracted runs on this workspace that fell back to the full
+    /// graph (see [`DijkstraWorkspace::run_contracted`]).
+    pub fn contract_fallbacks(&self) -> u64 {
+        self.fallbacks
     }
 
     /// Bump the generation and size buffers for an `n`-node graph.
@@ -179,6 +195,7 @@ impl DijkstraWorkspace {
         }
         self.heap.clear();
         self.active_n = n;
+        self.dist_only = false;
     }
 
     /// Run Dijkstra from `source`, skipping edges marked `true` in
@@ -225,6 +242,115 @@ impl DijkstraWorkspace {
                 Some(targets)
             },
         )
+    }
+
+    /// [`DijkstraWorkspace::run_multi`] (no mask) answered on `core`,
+    /// the relay-contracted form of `g` (see [`CoreGraph`]): the same
+    /// early exit, and distances and reached sets bit-identical to the
+    /// full-graph run for every core node. Other nodes report
+    /// unreached, and [`SsspView::extract_path`] returns `None` — the
+    /// core graph carries no edge ids.
+    ///
+    /// The source answers on `g` itself instead (counted in
+    /// `contract_fallbacks`) when the core run would pop a node beyond
+    /// [`CORE_D_MAX`] — past it, pruned transit legs are no longer
+    /// provably dominated — or when `core` is not
+    /// [exact](CoreGraph::is_exact) or `source`/a target is not a core
+    /// node.
+    // lint: hot-path
+    pub fn run_contracted(
+        &mut self,
+        core: &CoreGraph,
+        g: &Graph,
+        source: NodeId,
+        targets: &[NodeId],
+    ) -> SsspView<'_> {
+        let exact = self.run_two_leg(core, source, targets);
+        // Added even when 0, so every run log reports the counter.
+        CONTRACT_FALLBACKS.add(u64::from(!exact));
+        if !exact {
+            self.fallbacks += 1;
+            return self.run_multi(g, source, None, targets);
+        }
+        self.view()
+    }
+
+    /// The core-graph Dijkstra behind
+    /// [`DijkstraWorkspace::run_contracted`]; false when the result
+    /// cannot be trusted and the caller must fall back.
+    // lint: hot-path
+    fn run_two_leg(&mut self, core: &CoreGraph, source: NodeId, targets: &[NodeId]) -> bool {
+        let n = core.num_nodes();
+        if !core.is_exact() || source as usize >= n || targets.iter().any(|&t| t as usize >= n) {
+            return false;
+        }
+        DIJKSTRA_CALLS.add(1);
+        if self.runs > 0 {
+            WORKSPACE_REUSES.add(1);
+        }
+        self.runs += 1;
+        self.begin(n);
+        self.dist_only = true;
+        let gen = self.gen;
+        let mut pending = 0usize;
+        for &t in targets {
+            let ti = t as usize;
+            if self.target_stamp[ti] != gen {
+                self.target_stamp[ti] = gen;
+                pending += 1;
+            }
+        }
+        let mut settled_count = 0u64;
+        let si = source as usize;
+        self.stamp[si] = gen;
+        self.dist[si] = 0.0;
+        self.settled[si] = false;
+        self.heap.push(HeapItem {
+            dist: 0.0,
+            node: source,
+        });
+        let mut ok = true;
+        while let Some(HeapItem { dist: d, node: u }) = self.heap.pop() {
+            let ui = u as usize;
+            if self.settled[ui] {
+                continue;
+            }
+            if d > CORE_D_MAX {
+                ok = false;
+                break;
+            }
+            self.settled[ui] = true;
+            settled_count += 1;
+            if self.target_stamp[ui] == gen {
+                pending -= 1;
+                if pending == 0 {
+                    break;
+                }
+            }
+            for e in core.neighbors(u) {
+                // Two roundings, left to right — the full graph's order
+                // along `u → transit → v`; `+ 0.0` is exact.
+                let nd = (d + e.a) + e.b;
+                let vi = e.to as usize;
+                let cur = if self.stamp[vi] == gen {
+                    self.dist[vi]
+                } else {
+                    f64::INFINITY
+                };
+                if nd < cur {
+                    self.stamp[vi] = gen;
+                    self.dist[vi] = nd;
+                    self.settled[vi] = false;
+                    self.heap.push(HeapItem {
+                        dist: nd,
+                        node: e.to,
+                    });
+                }
+            }
+        }
+        DIJKSTRA_SETTLED.add(settled_count);
+        self.source = source;
+        ok
     }
 
     // lint: hot-path
@@ -392,9 +518,10 @@ impl SsspView<'_> {
         }
     }
 
-    /// Extract the path to `target`, or `None` if it was not settled.
+    /// Extract the path to `target`, or `None` if it was not settled or
+    /// the run was [contracted](DijkstraWorkspace::run_contracted).
     pub fn extract_path(&self, target: NodeId) -> Option<Path> {
-        if !self.reached(target) {
+        if self.ws.dist_only || !self.reached(target) {
             return None;
         }
         let mut nodes = vec![target];
@@ -432,7 +559,8 @@ impl SsspView<'_> {
         }
     }
 
-    /// Materialize an owned [`ShortestPaths`] (allocates three `n`-vecs).
+    /// Materialize an owned [`ShortestPaths`] (allocates three `n`-vecs;
+    /// parents stay unset after a contracted run).
     pub fn to_shortest_paths(&self) -> ShortestPaths {
         let n = self.ws.active_n;
         let mut dist = vec![f64::INFINITY; n];
@@ -441,8 +569,10 @@ impl SsspView<'_> {
         for v in 0..n {
             if self.ws.stamp[v] == self.ws.gen && self.ws.settled[v] {
                 dist[v] = self.ws.dist[v];
-                parent_edge[v] = self.ws.parent_edge[v];
-                parent_node[v] = self.ws.parent_node[v];
+                if !self.ws.dist_only {
+                    parent_edge[v] = self.ws.parent_edge[v];
+                    parent_node[v] = self.ws.parent_node[v];
+                }
             }
         }
         ShortestPaths {

@@ -455,3 +455,131 @@ fn maxflow_bounds() {
         Ok(())
     });
 }
+
+/// A random bent-pipe-shaped graph: `sats` satellites (ids first), then
+/// `cities`, then transit nodes that link only to core nodes. Leg
+/// weights are drawn from a small palette with exact repeats and
+/// 1-ulp neighbours, so equal and near-equal relay sums are common;
+/// transit nodes get 0, 1 or several neighbours, and some satellites
+/// stay isolated (disconnected parts). Returns the graph and its core
+/// size.
+fn arb_bent_pipe(gen: &mut Gen) -> (Graph, usize) {
+    let sats = gen.usize(1..12);
+    let cities = gen.usize(1..6);
+    let transit = gen.usize(0..40);
+    let core = sats + cities;
+    let n = core + transit;
+    let mut palette = gen.vec(1..6, |g| g.f64(0.001..0.02));
+    for i in 0..palette.len() {
+        palette.push(f64::from_bits(palette[i].to_bits() + 1));
+    }
+    let leg = |g: &mut Gen| palette[g.usize(0..palette.len())];
+    let mut b = GraphBuilder::new(n);
+    // ISLs among a prefix of the satellites (the rest may be isolated).
+    for _ in 0..gen.usize(0..2 * sats) {
+        let (u, v) = (gen.u32(0..sats as u32), gen.u32(0..sats as u32));
+        if u != v {
+            let w = leg(gen);
+            b.add_edge(u, v, w);
+        }
+    }
+    for c in sats..core {
+        for _ in 0..gen.usize(0..3) {
+            let s = gen.u32(0..sats as u32);
+            let w = leg(gen);
+            b.add_edge(c as u32, s, w);
+        }
+    }
+    for r in core..n {
+        for _ in 0..gen.usize(0..4) {
+            // Mostly satellites, sometimes a city: the contraction must
+            // not assume what a core node is.
+            let to = if gen.u32(0..8) == 0 {
+                gen.u32(sats as u32..core as u32)
+            } else {
+                gen.u32(0..sats as u32)
+            };
+            let w = leg(gen);
+            b.add_edge(r as u32, to, w);
+        }
+    }
+    (b.build(), core)
+}
+
+/// Relay contraction is exact: for every source and target set, a
+/// contracted run reports the same `dist().to_bits()` and the same
+/// reached flag as full-graph `run_multi` for every target, and — on
+/// runs without early exit — for every core node.
+#[test]
+fn contracted_runs_match_full_graph_bit_for_bit() {
+    let mut core = CoreGraph::new();
+    let mut full_ws = DijkstraWorkspace::new();
+    let mut core_ws = DijkstraWorkspace::new();
+    check("contracted_runs_match_full_graph_bit_for_bit", |gen| {
+        let (g, n_core) = arb_bent_pipe(gen);
+        core.build_from(&g, n_core);
+        check_assert!(core.is_exact());
+        for source in 0..n_core as u32 {
+            let targets: Vec<u32> = if gen.bool() {
+                Vec::new()
+            } else {
+                gen.vec(1..4, |g| g.u32(0..n_core as u32))
+            };
+            let full = full_ws.run_multi(&g, source, None, &targets);
+            let view = core_ws.run_contracted(&core, &g, source, &targets);
+            let check_nodes: Vec<u32> = if targets.is_empty() {
+                (0..n_core as u32).collect()
+            } else {
+                targets.clone()
+            };
+            for v in check_nodes {
+                check_assert_eq!(view.reached(v), full.reached(v), "src {source} node {v}");
+                check_assert_eq!(
+                    view.dist(v).to_bits(),
+                    full.dist(v).to_bits(),
+                    "src {source} node {v}: {} vs {}",
+                    view.dist(v),
+                    full.dist(v)
+                );
+            }
+        }
+        check_assert_eq!(core_ws.contract_fallbacks(), 0);
+        Ok(())
+    });
+}
+
+/// Near-tie relays: many transit nodes bridge the same two satellites
+/// with legs `(a, T − a)`, so every relay's leg sum lies within a few
+/// ulps of `T` while the rounded path sums `fl(fl(d + a) + b)` still
+/// differ. The contracted distance must equal the full graph's, bit
+/// for bit, whichever relay wins after rounding.
+#[test]
+fn contracted_runs_match_full_graph_on_near_tie_relays() {
+    let mut core = CoreGraph::new();
+    let mut ws = DijkstraWorkspace::new();
+    check(
+        "contracted_runs_match_full_graph_on_near_tie_relays",
+        |gen| {
+            let relays = gen.usize(2..8);
+            let total = gen.f64(0.005..0.03);
+            // Sats 0 and 1, source city 2 on sat 0, target city 3 on sat 1.
+            let mut b = GraphBuilder::new(4 + relays);
+            let up = gen.f64(0.001..0.02);
+            b.add_edge(2, 0, up);
+            let down = gen.f64(0.001..0.02);
+            b.add_edge(3, 1, down);
+            for r in 0..relays as u32 {
+                let a = gen.f64(0.0..total);
+                let bits = (total - a).to_bits() + gen.u64(0..3) - 1;
+                b.add_edge(4 + r, 0, a);
+                b.add_edge(4 + r, 1, f64::from_bits(bits));
+            }
+            let g = b.build();
+            core.build_from(&g, 4);
+            let full = ws.run_multi(&g, 2, None, &[3]).dist(3);
+            let got = ws.run_contracted(&core, &g, 2, &[3]).dist(3);
+            check_assert_eq!(got.to_bits(), full.to_bits(), "{got} vs {full}");
+            Ok(())
+        },
+    );
+}

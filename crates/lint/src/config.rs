@@ -75,6 +75,8 @@ impl Default for LintConfig {
                 "SptWorkspace::rebuild".into(),
                 "DijkstraWorkspace::run".into(),
                 "DijkstraWorkspace::run_multi".into(),
+                "DijkstraWorkspace::run_contracted".into(),
+                "CoreGraph::build_from".into(),
                 "TimeSweep::step_with_deltas".into(),
                 "VisibilityScan::*".into(),
                 "StudyContext::sweep_fold".into(),
@@ -203,6 +205,12 @@ mod tests {
         let d = LintConfig::default();
         assert!(d.hot_path_roots.iter().any(|r| r == "SptWorkspace::apply"));
         assert!(d.panic_allow.iter().any(|p| p.ends_with("check.rs")));
+    }
+
+    #[test]
+    fn repo_lint_toml_equals_compiled_in_defaults() {
+        let file = LintConfig::parse(include_str!("../../../lint.toml")).unwrap();
+        assert_eq!(format!("{file:?}"), format!("{:?}", LintConfig::default()));
     }
 
     #[test]

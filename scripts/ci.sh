@@ -36,13 +36,14 @@
 #    times may drift, and those are informational. The lane also
 #    exercises --assert-peak-rss-mb on the second run with a generous
 #    Tiny budget.
-# 8. Paper-scale RSS smoke (opt-in: LEO_CI_PAPER_SMOKE=1, ~40 min on
-#    one core): run the full 96-snapshot paper-scale fig2 under
+# 8. Paper-scale RSS smoke (opt-in: LEO_CI_PAPER_SMOKE=1, ~25 s on
+#    two cores): run the full 96-snapshot paper-scale fig2 under
 #    heartbeats and require peak RSS under a fixed 512 MiB budget.
 #    The streaming drivers hold per-snapshot samples only inside
 #    fixed-size sketches, so memory is O(1) in snapshot count —
-#    observed peak is ~140 MiB (dominated by the constellation and
-#    visibility state, not by samples); the budget is loose for
+#    observed peak is ~272 MiB on two workers (~133 MiB per worker of
+#    sweep state: both modes' ~580k-edge snapshot graphs, not
+#    samples); the budget is loose for
 #    machine-to-machine noise but fails loudly if anyone reintroduces
 #    per-sample Vec accumulation.
 # 9. Routing-bench smoke: run benches/routing.rs and require the

@@ -7,15 +7,25 @@
 //!   chunk merges are exact, so results are bit-identical however the
 //!   sweep is split.
 //!
-//! Telemetry level and sink are process-global, so the sketch-vs-exact
-//! check lives in one `#[test]`; the thread-invariance checks never
-//! raise the level.
+//! Telemetry level, sink and series are process-global: a driver run
+//! by any test while the sketch-vs-exact check has the level raised
+//! would land its `rtt_ms_*` series in that check's run log. So every
+//! test here that runs a driver holds [`driver_lock`] for its whole
+//! body.
 
 use leo_core::experiments::latency::{latency_studies, snapshot_rtts};
 use leo_core::experiments::weather::weather_study;
 use leo_core::{ExperimentScale, Mode, StudyContext};
 use leo_util::sketch::QuantileSketch;
 use leo_util::telemetry::{self, Json, Level};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the driver-running tests of this binary (see the module
+/// doc). A panicking holder poisons the lock; later tests still run.
+fn driver_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Merge every `series` event named `name` from a run log back into one
 /// run-level sketch (exactly what `leo-report` does).
@@ -37,6 +47,7 @@ fn merged_series(lines: &[&str], name: &str) -> QuantileSketch {
 
 #[test]
 fn bench_scale_fig2_sketches_match_exact_pipeline_within_bound() {
+    let _guard = driver_lock();
     let dir = std::env::temp_dir().join("leo_streaming_fig2");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -114,6 +125,7 @@ fn bench_scale_fig2_sketches_match_exact_pipeline_within_bound() {
 
 #[test]
 fn latency_studies_are_thread_count_invariant() {
+    let _guard = driver_lock();
     let ctx = StudyContext::build(ExperimentScale::Tiny.config());
     let modes = [Mode::BpOnly, Mode::Hybrid];
     let base = latency_studies(&ctx, &modes, 1);
@@ -144,6 +156,7 @@ fn weather_study_is_thread_count_invariant() {
     // Per-pair TailQuantile keepers merge exactly across chunk splits, so
     // the 99.5th-percentile outputs are bit-identical for any thread
     // count.
+    let _guard = driver_lock();
     let ctx = StudyContext::build(ExperimentScale::Tiny.config());
     let base = weather_study(&ctx, 7, 1);
     for threads in [2, 4] {
