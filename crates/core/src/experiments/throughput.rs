@@ -11,8 +11,8 @@ use crate::par::parallel_map;
 use crate::snapshot::{EdgeKind, Mode, NetworkSnapshot, StudyContext};
 use leo_flow::{FlowSim, FlowWorkspace};
 use leo_graph::{
-    component_sizes, connected_components, k_edge_disjoint_paths_with, max_flow,
-    with_thread_workspace, EdgeId, FlowNetwork, Path,
+    component_sizes, connected_components, k_edge_disjoint_paths_contracted, max_flow,
+    with_thread_workspace, CoreGraph, EdgeId, FlowNetwork, Path,
 };
 use leo_util::span;
 use leo_util::telemetry::{Heartbeat, MetricSeries};
@@ -67,7 +67,9 @@ struct RoutedFlows {
 }
 
 impl RoutedFlows {
+    /// One max-min solve, timed by an `alloc` span.
     fn result(&self, ws: &mut FlowWorkspace) -> ThroughputResult {
+        let _s = span!("alloc");
         ThroughputResult {
             aggregate_gbps: self.sim.solve_with(ws).aggregate,
             routed_pairs: self.routed_pairs,
@@ -87,12 +89,27 @@ impl RoutedFlows {
 /// slices in global pair order feeds [`throughput_from_path_edges`]
 /// bit-identically to the single-process path.
 ///
+/// **Routing**: the snapshot is contracted once into a [`CoreGraph`]
+/// over satellites and cities, which every worker shares read-only, and
+/// each pair's paths come from
+/// [`k_edge_disjoint_paths_contracted`] — the same paths, edge for
+/// edge, as full-graph `k_edge_disjoint_paths_with`; DESIGN.md §"Relay
+/// contraction" has the argument. `contract` and `route` spans time the
+/// two steps.
+///
 /// [range-restricted]: StudyContext::restrict_pair_range
 pub fn route_pair_paths(ctx: &StudyContext, snap: &NetworkSnapshot, k: usize) -> Vec<Vec<Path>> {
+    let mut core = CoreGraph::new();
+    {
+        let _s = span!("contract");
+        core.build_from(&snap.graph, ctx.num_satellites() + ctx.ground.cities.len());
+    }
+    let _s = span!("route");
     // Path-finding per pair is read-only on the snapshot: parallelize.
     parallel_map(&ctx.pairs, 0, |pair| {
         with_thread_workspace(|ws| {
-            k_edge_disjoint_paths_with(
+            k_edge_disjoint_paths_contracted(
+                &core,
                 &snap.graph,
                 snap.city_node(pair.src as usize),
                 snap.city_node(pair.dst as usize),

@@ -8,7 +8,8 @@
 //! resulting sub-flows never share an edge, so max-min fairness can treat
 //! them independently.
 
-use crate::graph::{Graph, NodeId};
+use crate::contract::CoreGraph;
+use crate::graph::{EdgeId, Graph, NodeId};
 use crate::shortest::{DijkstraWorkspace, Path};
 
 /// Find up to `k` edge-disjoint paths from `source` to `target`, shortest
@@ -44,21 +45,58 @@ pub fn k_edge_disjoint_paths_with(
     disabled: Option<&[bool]>,
     ws: &mut DijkstraWorkspace,
 ) -> Vec<Path> {
+    greedy_disjoint(g, k, disabled, ws, |ws, mask, _| {
+        ws.run(g, source, Some(mask), Some(target))
+            .extract_path(target)
+    })
+}
+
+/// [`k_edge_disjoint_paths_with`] answered on `core`, the relay-
+/// contracted form of `g` ([`CoreGraph::build_from`]): each path comes
+/// from a masked run on `core` under the growing edge mask, walked back
+/// on `g`, so the result equals the full-graph routine's exactly — the
+/// same paths, edge for edge, with the same `total_weight` bits. A
+/// query `core` cannot answer exactly runs on `g` instead (counted in
+/// `contract_fallbacks`).
+pub fn k_edge_disjoint_paths_contracted(
+    core: &CoreGraph,
+    g: &Graph,
+    source: NodeId,
+    target: NodeId,
+    k: usize,
+    disabled: Option<&[bool]>,
+    ws: &mut DijkstraWorkspace,
+) -> Vec<Path> {
+    greedy_disjoint(g, k, disabled, ws, |ws, mask, masked| {
+        ws.contracted_path(core, g, source, target, mask, masked)
+    })
+}
+
+/// The greedy loop: `shortest(ws, mask, masked)` finds the next path
+/// avoiding the edges set in `mask` (listed in `masked`), whose edges
+/// are then masked in turn.
+fn greedy_disjoint(
+    g: &Graph,
+    k: usize,
+    disabled: Option<&[bool]>,
+    ws: &mut DijkstraWorkspace,
+    mut shortest: impl FnMut(&mut DijkstraWorkspace, &[bool], &[EdgeId]) -> Option<Path>,
+) -> Vec<Path> {
     let mut mask = ws.take_mask(g.num_edges());
+    let mut masked = Vec::new();
     if let Some(d) = disabled {
         // lint: allow(panic-reachable) caller contract: the disabled mask is indexed by edge id; a mismatch means it was built for a different graph
         assert_eq!(d.len(), g.num_edges());
         mask.copy_from_slice(d);
+        masked.extend((0..d.len() as EdgeId).filter(|&e| d[e as usize]));
     }
     let mut out = Vec::with_capacity(k);
     for _ in 0..k {
-        let found = ws
-            .run(g, source, Some(&mask), Some(target))
-            .extract_path(target);
-        match found {
+        match shortest(ws, &mask, &masked) {
             Some(p) => {
                 for &e in &p.edges {
                     mask[e as usize] = true;
+                    masked.push(e);
                 }
                 out.push(p);
             }

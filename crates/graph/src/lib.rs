@@ -17,7 +17,9 @@
 //!   edge, routed by [`DijkstraWorkspace::run_contracted`] with
 //!   distances bit-identical to the full graph's.
 //! * [`k_edge_disjoint_paths`] — the iterative shortest-path/edge-removal
-//!   scheme used for the throughput experiments' `k` sub-flows per pair.
+//!   scheme used for the throughput experiments' `k` sub-flows per pair;
+//!   [`k_edge_disjoint_paths_contracted`] returns the same paths from
+//!   masked runs on a [`CoreGraph`].
 //! * [`connected_components`] — for the "fraction of satellites entirely
 //!   disconnected under BP" statistic (§5).
 //! * [`max_flow`] — Dinic's algorithm, used to reproduce the "lax"
@@ -42,7 +44,9 @@ mod yen;
 
 pub use components::{component_sizes, connected_components};
 pub use contract::{CoreGraph, CORE_D_MAX};
-pub use disjoint::{k_edge_disjoint_paths, k_edge_disjoint_paths_with};
+pub use disjoint::{
+    k_edge_disjoint_paths, k_edge_disjoint_paths_contracted, k_edge_disjoint_paths_with,
+};
 pub use graph::{EdgeId, Graph, GraphBuilder, NodeId};
 pub use maxflow::{max_flow, max_flow_with, FlowNetwork, MaxFlowWorkspace};
 pub use shortest::{

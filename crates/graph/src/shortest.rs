@@ -10,7 +10,7 @@
 //!   so resetting between runs costs O(nodes touched), not O(n). The hot
 //!   experiment loops keep one workspace per worker thread.
 
-use crate::contract::{CoreGraph, CORE_D_MAX};
+use crate::contract::{recover_path, CoreGraph, DirtyRows, MaskedRows, CORE_D_MAX};
 use crate::graph::{EdgeId, Graph, NodeId};
 use leo_util::telemetry::Counter;
 use std::cmp::Ordering;
@@ -23,8 +23,9 @@ static DIJKSTRA_SETTLED: Counter = Counter::new("dijkstra_nodes_settled");
 /// Telemetry: runs that reused a warm workspace (every run after the
 /// first on a given [`DijkstraWorkspace`]).
 static WORKSPACE_REUSES: Counter = Counter::new("workspace_reuses");
-/// Telemetry: [`DijkstraWorkspace::run_contracted`] sources answered on
-/// the full graph instead of the core graph.
+/// Telemetry: [`DijkstraWorkspace::run_contracted`] sources and
+/// [`DijkstraWorkspace::contracted_path`] queries answered on the full
+/// graph instead of the core graph.
 static CONTRACT_FALLBACKS: Counter = Counter::new("contract_fallbacks");
 /// Telemetry: incremental [`SptWorkspace::apply`] repairs.
 static SPT_REPAIRS: Counter = Counter::new("spt_repairs");
@@ -150,6 +151,8 @@ pub struct DijkstraWorkspace {
     /// Contracted runs on this workspace that fell back to the full
     /// graph.
     fallbacks: u64,
+    /// Hot rows of the most recent masked contracted run.
+    dirty: DirtyRows,
 }
 
 impl DijkstraWorkspace {
@@ -284,6 +287,111 @@ impl DijkstraWorkspace {
         if !core.is_exact() || source as usize >= n || targets.iter().any(|&t| t as usize >= n) {
             return false;
         }
+        self.two_leg_search(n, source, targets, |u| {
+            core.neighbors(u).iter().map(|e| (e.to, e.a, e.b))
+        })
+    }
+
+    /// The shortest path from `source` to `target` in `g` without the
+    /// edges set in `mask` — exactly the path [`DijkstraWorkspace::run`]
+    /// with that mask and early exit at `target` extracts: same nodes,
+    /// same edges, same `total_weight` bits. `masked` must list every
+    /// edge set in `mask` (in any order).
+    ///
+    /// The distances come from a masked run on `core`, the relay-
+    /// contracted form of `g`: masked direct edges are skipped, and the
+    /// two-leg rows at the core ends of masked transit legs are
+    /// re-derived from `g`. The path is then walked back on `g` with
+    /// Dijkstra's own tie rule. The query answers on `g` itself instead
+    /// (counted in `contract_fallbacks`) in the cases
+    /// [`DijkstraWorkspace::run_contracted`] falls back, and when an
+    /// edge at a core node is too light for the walk's tie rule
+    /// (below `2⁻⁵²`).
+    pub(crate) fn contracted_path(
+        &mut self,
+        core: &CoreGraph,
+        g: &Graph,
+        source: NodeId,
+        target: NodeId,
+        mask: &[bool],
+        masked: &[EdgeId],
+    ) -> Option<Path> {
+        if self.run_two_leg_masked(core, g, source, target, mask, masked) {
+            let rows = MaskedRows {
+                core,
+                dirty: &self.dirty,
+                mask,
+            };
+            let view = self.view();
+            // Added even when 0, so every run log reports the counter.
+            if !view.reached(target) {
+                CONTRACT_FALLBACKS.add(0);
+                return None;
+            }
+            if let Some(path) = recover_path(view, g, rows, target) {
+                CONTRACT_FALLBACKS.add(0);
+                return Some(path);
+            }
+        }
+        CONTRACT_FALLBACKS.add(1);
+        self.fallbacks += 1;
+        self.run(g, source, Some(mask), Some(target))
+            .extract_path(target)
+    }
+
+    /// The masked core-graph Dijkstra behind
+    /// [`DijkstraWorkspace::contracted_path`]: shared rows where both
+    /// ends are cold, the workspace's [`DirtyRows`] at hot ones. False
+    /// when the caller must fall back.
+    // lint: hot-path
+    fn run_two_leg_masked(
+        &mut self,
+        core: &CoreGraph,
+        g: &Graph,
+        source: NodeId,
+        target: NodeId,
+        mask: &[bool],
+        masked: &[EdgeId],
+    ) -> bool {
+        let n = core.num_nodes();
+        let targets = std::slice::from_ref(&target);
+        if !core.recovers_paths() || source as usize >= n || target as usize >= n {
+            return false;
+        }
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.rederive(g, core, mask, masked);
+        let ok = if masked.is_empty() {
+            self.run_two_leg(core, source, targets)
+        } else {
+            let rows = MaskedRows {
+                core,
+                dirty: &dirty,
+                mask,
+            };
+            self.two_leg_search(n, source, targets, |u| {
+                rows.row(u).map(|(v, a, b, _)| (v, a, b))
+            })
+        };
+        self.dirty = dirty;
+        ok
+    }
+
+    /// Early-exit Dijkstra over core nodes `0..n`, relaxing each
+    /// `(head, a, b)` of `row(u)` as `(d + a) + b` — two roundings, left
+    /// to right, the full graph's order along `u → transit → head`
+    /// (`b = 0.0` is exact). False if it would pop a node beyond
+    /// [`CORE_D_MAX`].
+    // lint: hot-path
+    fn two_leg_search<I>(
+        &mut self,
+        n: usize,
+        source: NodeId,
+        targets: &[NodeId],
+        row: impl Fn(NodeId) -> I,
+    ) -> bool
+    where
+        I: Iterator<Item = (NodeId, f64, f64)>,
+    {
         DIJKSTRA_CALLS.add(1);
         if self.runs > 0 {
             WORKSPACE_REUSES.add(1);
@@ -327,11 +435,9 @@ impl DijkstraWorkspace {
                     break;
                 }
             }
-            for e in core.neighbors(u) {
-                // Two roundings, left to right — the full graph's order
-                // along `u → transit → v`; `+ 0.0` is exact.
-                let nd = (d + e.a) + e.b;
-                let vi = e.to as usize;
+            for (v, a, b) in row(u) {
+                let nd = (d + a) + b;
+                let vi = v as usize;
                 let cur = if self.stamp[vi] == gen {
                     self.dist[vi]
                 } else {
@@ -341,10 +447,7 @@ impl DijkstraWorkspace {
                     self.stamp[vi] = gen;
                     self.dist[vi] = nd;
                     self.settled[vi] = false;
-                    self.heap.push(HeapItem {
-                        dist: nd,
-                        node: e.to,
-                    });
+                    self.heap.push(HeapItem { dist: nd, node: v });
                 }
             }
         }

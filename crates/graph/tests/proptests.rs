@@ -464,17 +464,35 @@ fn maxflow_bounds() {
 /// stay isolated (disconnected parts). Returns the graph and its core
 /// size.
 fn arb_bent_pipe(gen: &mut Gen) -> (Graph, usize) {
+    arb_bent_pipe_with(gen, false)
+}
+
+/// [`arb_bent_pipe`], plus (if `bundle`) a bundle of extra transit nodes
+/// all bridging satellites 0 and 1 with palette legs, so one satellite
+/// pair has many equal and near-equal relays. `bundle = false` draws
+/// nothing extra, so it replays the case streams of `arb_bent_pipe`.
+fn arb_bent_pipe_with(gen: &mut Gen, bundle: bool) -> (Graph, usize) {
     let sats = gen.usize(1..12);
     let cities = gen.usize(1..6);
     let transit = gen.usize(0..40);
     let core = sats + cities;
-    let n = core + transit;
     let mut palette = gen.vec(1..6, |g| g.f64(0.001..0.02));
     for i in 0..palette.len() {
         palette.push(f64::from_bits(palette[i].to_bits() + 1));
     }
     let leg = |g: &mut Gen| palette[g.usize(0..palette.len())];
+    let bundled = if bundle && sats >= 2 {
+        gen.usize(2..8)
+    } else {
+        0
+    };
+    let n = core + transit + bundled;
     let mut b = GraphBuilder::new(n);
+    for r in n - bundled..n {
+        let (a, w) = (leg(gen), leg(gen));
+        b.add_edge(r as u32, 0, a);
+        b.add_edge(r as u32, 1, w);
+    }
     // ISLs among a prefix of the satellites (the rest may be isolated).
     for _ in 0..gen.usize(0..2 * sats) {
         let (u, v) = (gen.u32(0..sats as u32), gen.u32(0..sats as u32));
@@ -490,7 +508,7 @@ fn arb_bent_pipe(gen: &mut Gen) -> (Graph, usize) {
             b.add_edge(c as u32, s, w);
         }
     }
-    for r in core..n {
+    for r in core..n - bundled {
         for _ in 0..gen.usize(0..4) {
             // Mostly satellites, sometimes a city: the contraction must
             // not assume what a core node is.
@@ -579,6 +597,109 @@ fn contracted_runs_match_full_graph_on_near_tie_relays() {
             let full = ws.run_multi(&g, 2, None, &[3]).dist(3);
             let got = ws.run_contracted(&core, &g, 2, &[3]).dist(3);
             check_assert_eq!(got.to_bits(), full.to_bits(), "{got} vs {full}");
+            Ok(())
+        },
+    );
+}
+
+/// Contracted k edge-disjoint routing is the full graph's: for k = 1..4
+/// and every core source (one random core target each, plus the bundled
+/// pair 0 → 1), `k_edge_disjoint_paths_contracted` returns the very
+/// paths `k_edge_disjoint_paths_with` does — nodes, edges and
+/// `total_weight` bits. Each later path runs under the earlier paths'
+/// mask, so the bundle's minimizing relay is masked; half the cases
+/// also pre-disable random edges.
+#[test]
+fn contracted_disjoint_paths_match_full_graph_exactly() {
+    let mut core = CoreGraph::new();
+    let mut full_ws = DijkstraWorkspace::new();
+    let mut core_ws = DijkstraWorkspace::new();
+    check(
+        "contracted_disjoint_paths_match_full_graph_exactly",
+        |gen| {
+            let (g, n_core) = arb_bent_pipe_with(gen, true);
+            core.build_from(&g, n_core);
+            check_assert!(core.is_exact());
+            let disabled: Option<Vec<bool>> = gen
+                .bool()
+                .then(|| (0..g.num_edges()).map(|_| gen.u32(0..8) == 0).collect());
+            let mut queries: Vec<(u32, u32)> = (0..n_core as u32)
+                .map(|s| (s, gen.u32(0..n_core as u32)))
+                .collect();
+            queries.push((0, 1));
+            for (s, t) in queries {
+                for k in 1..=4 {
+                    let d = disabled.as_deref();
+                    let want = k_edge_disjoint_paths_with(&g, s, t, k, d, &mut full_ws);
+                    let got = k_edge_disjoint_paths_contracted(&core, &g, s, t, k, d, &mut core_ws);
+                    check_assert_eq!(got.len(), want.len(), "{s} -> {t}, k {k}");
+                    for (p, q) in got.iter().zip(&want) {
+                        check_assert_eq!(&p.nodes, &q.nodes, "{s} -> {t}, k {k}");
+                        check_assert_eq!(&p.edges, &q.edges, "{s} -> {t}, k {k}");
+                        check_assert_eq!(
+                            p.total_weight.to_bits(),
+                            q.total_weight.to_bits(),
+                            "{s} -> {t}, k {k}"
+                        );
+                    }
+                }
+            }
+            check_assert_eq!(core_ws.contract_fallbacks(), 0);
+            Ok(())
+        },
+    );
+}
+
+/// A masked minimizer next to the margin: relay 4 is the only relay of
+/// satellites 0 and 1 at the pair's minimum leg sum `m`, and its uplink
+/// is pre-disabled; every other relay's sum lies within 3% of one
+/// margin above `m`, so some were pruned from the shared core row, and
+/// all lie within one rounding of each other. The source city's long
+/// uplink puts the satellites near `CORE_D_MAX`, where one rounding of
+/// the path sum is worth several ulps of `m`, so a pruned relay can win.
+/// Contracted k = 1, 2 paths must still be the full graph's.
+#[test]
+fn contracted_paths_match_full_graph_past_a_masked_minimizer() {
+    let mut core = CoreGraph::new();
+    let mut full_ws = DijkstraWorkspace::new();
+    let mut core_ws = DijkstraWorkspace::new();
+    check(
+        "contracted_paths_match_full_graph_past_a_masked_minimizer",
+        |gen| {
+            let relays = gen.usize(3..10);
+            let m = gen.f64(0.005..0.03);
+            let margin = 8.0 * (f64::EPSILON / 2.0) * (CORE_D_MAX + m);
+            // Sats 0 and 1, source city 2 on sat 0, target city 3 on sat 1.
+            let mut b = GraphBuilder::new(4 + relays);
+            let up = gen.f64(0.3..0.95);
+            b.add_edge(2, 0, up);
+            let down = gen.f64(0.001..0.02);
+            b.add_edge(3, 1, down);
+            let mut minimizer_leg = 0;
+            for r in 0..relays as u32 {
+                let sum = if r == 0 {
+                    m
+                } else {
+                    m + margin * gen.f64(0.97..1.03)
+                };
+                let a = sum * gen.f64(0.1..0.9);
+                let e = b.add_edge(4 + r, 0, a);
+                b.add_edge(4 + r, 1, sum - a);
+                if r == 0 {
+                    minimizer_leg = e;
+                }
+            }
+            let g = b.build();
+            core.build_from(&g, 4);
+            let mut disabled = vec![false; g.num_edges()];
+            disabled[minimizer_leg as usize] = true;
+            for k in 1..=2 {
+                let d = Some(disabled.as_slice());
+                let want = k_edge_disjoint_paths_with(&g, 2, 3, k, d, &mut full_ws);
+                let got = k_edge_disjoint_paths_contracted(&core, &g, 2, 3, k, d, &mut core_ws);
+                check_assert_eq!(got, want, "k {k}");
+            }
+            check_assert_eq!(core_ws.contract_fallbacks(), 0);
             Ok(())
         },
     );

@@ -76,7 +76,9 @@ impl Default for LintConfig {
                 "DijkstraWorkspace::run".into(),
                 "DijkstraWorkspace::run_multi".into(),
                 "DijkstraWorkspace::run_contracted".into(),
+                "DijkstraWorkspace::run_two_leg_masked".into(),
                 "CoreGraph::build_from".into(),
+                "DirtyRows::rederive".into(),
                 "TimeSweep::step_with_deltas".into(),
                 "VisibilityScan::*".into(),
                 "StudyContext::sweep_fold".into(),

@@ -55,10 +55,11 @@
 #    consecutive-instant TimeSweep step to beat the per-instant
 #    snapshot_bundle rebuild by >= 1.5x (committed BENCH_snapshot.json
 #    shows ~2.2x; same loose-floor rationale as the routing gate).
-# 11. Shard identity lane: bench-scale fig2 run unsharded and as 4
-#    spawned OS shard workers (spill + merge); stdout and the CSV must
-#    be byte-identical. This is the out-of-core contract — sharding is
-#    an execution strategy, never a result change.
+# 11. Shard identity lanes: bench-scale fig2 and fig4 each run
+#    unsharded and as 4 spawned OS shard workers (spill + merge); stdout
+#    and the CSV must be byte-identical. This is the out-of-core
+#    contract — sharding is an execution strategy, never a result
+#    change.
 # 12. Shard-bench smoke: run benches/shard.rs and require the 4-shard
 #    merge (decode + validate + concatenate + sketch merges) to cost
 #    <= 5% of one unsharded latency fold (committed BENCH_shard.json
@@ -234,21 +235,28 @@ awk -F'"median_ns":' '
     }
 ' "$log_dir/BENCH_snapshot.json"
 
-echo "== shard identity: bench-scale fig2, unsharded vs 4 spawned shards =="
 repo_root=$(pwd)
-shard_a=$(mktemp -d)
-shard_b=$(mktemp -d)
-(cd "$shard_a" && "$repo_root/target/release/fig2_latency" --scale bench > stdout.txt)
-(cd "$shard_b" && "$repo_root/target/release/fig2_latency" --scale bench \
-    --shards 4 --spawn > stdout.txt)
-if ! diff -q "$shard_a/stdout.txt" "$shard_b/stdout.txt" ||
-    ! diff -q "$shard_a/results/fig2_latency.csv" "$shard_b/results/fig2_latency.csv"; then
-    echo "ERROR: sharded fig2 output differs from the unsharded run" >&2
-    diff "$shard_a/stdout.txt" "$shard_b/stdout.txt" >&2 || true
-    exit 1
-fi
-echo "ok: stdout and CSV byte-identical across execution strategies"
-rm -rf "$shard_a" "$shard_b"
+# shard_identity <bin>: bench-scale <bin> run unsharded and as 4 spawned
+# shard workers; stdout and results/<bin>.csv must be byte-identical.
+shard_identity() {
+    echo "== shard identity: bench-scale $1, unsharded vs 4 spawned shards =="
+    shard_a=$(mktemp -d)
+    shard_b=$(mktemp -d)
+    (cd "$shard_a" && "$repo_root/target/release/$1" --scale bench > stdout.txt)
+    (cd "$shard_b" && "$repo_root/target/release/$1" --scale bench \
+        --shards 4 --spawn > stdout.txt)
+    if ! diff -q "$shard_a/stdout.txt" "$shard_b/stdout.txt" ||
+        ! diff -q "$shard_a/results/$1.csv" "$shard_b/results/$1.csv"; then
+        echo "ERROR: sharded $1 output differs from the unsharded run" >&2
+        diff "$shard_a/stdout.txt" "$shard_b/stdout.txt" >&2 || true
+        exit 1
+    fi
+    echo "ok: stdout and CSV byte-identical across execution strategies"
+    rm -rf "$shard_a" "$shard_b"
+}
+shard_identity fig2_latency
+# Each fig4 shard routes its pairs on a core graph of its own.
+shard_identity fig4_throughput
 
 echo "== shard bench smoke: merge must stay a tiny fraction of the fold =="
 LEO_LOG=off LEO_BENCH_DIR="$log_dir" \

@@ -1,12 +1,22 @@
-//! Relay contraction end to end: `latency_studies` routes on a
-//! satellite+city core graph, and its per-pair min/max/reachable folds
-//! must equal, bit for bit, a fold of plain full-graph `run_multi`
-//! Dijkstra over the same sweep — for both fig2 modes, at Tiny and
-//! Bench scale.
+//! Relay contraction end to end, at Tiny and Bench scale:
+//!
+//! * `latency_studies` routes on a satellite+city core graph, and its
+//!   per-pair min/max/reachable folds must equal, bit for bit, a fold of
+//!   plain full-graph `run_multi` Dijkstra over the same sweep — for
+//!   both fig2 modes;
+//! * `route_pair_paths` routes fig4's k edge-disjoint paths on the core
+//!   graph, and its paths must equal full-graph
+//!   `k_edge_disjoint_paths_with`'s edge for edge — for all four
+//!   (mode, k) combos — and so must `throughput` and
+//!   `isl_capacity_sweep` results solved from those paths.
 
 use leo_core::experiments::latency::{latency_studies, PairStats};
-use leo_core::{ExperimentScale, Mode, StudyContext, TimeSweep};
-use leo_graph::DijkstraWorkspace;
+use leo_core::experiments::throughput::{
+    isl_capacity_sweep, route_pair_paths, throughput, throughput_from_path_edges,
+};
+use leo_core::{ExperimentScale, Mode, NetworkSnapshot, StudyContext, TimeSweep};
+use leo_flow::FlowWorkspace;
+use leo_graph::{k_edge_disjoint_paths_with, DijkstraWorkspace};
 
 const MODES: [Mode; 2] = [Mode::BpOnly, Mode::Hybrid];
 
@@ -94,4 +104,97 @@ fn tiny_latency_studies_match_full_graph_dijkstra_bit_for_bit() {
 #[test]
 fn bench_latency_studies_match_full_graph_dijkstra_bit_for_bit() {
     assert_matches_full_graph(ExperimentScale::Bench);
+}
+
+/// fig4's (mode, k) combos.
+const COMBOS: [(Mode, usize); 4] = [
+    (Mode::BpOnly, 1),
+    (Mode::BpOnly, 4),
+    (Mode::Hybrid, 1),
+    (Mode::Hybrid, 4),
+];
+
+/// Per pair: the edge lists of full-graph k edge-disjoint routing.
+fn full_graph_paths(ctx: &StudyContext, snap: &NetworkSnapshot, k: usize) -> Vec<Vec<Vec<u32>>> {
+    let mut ws = DijkstraWorkspace::new();
+    ctx.pairs
+        .iter()
+        .map(|pair| {
+            let (s, t) = (
+                snap.city_node(pair.src as usize),
+                snap.city_node(pair.dst as usize),
+            );
+            k_edge_disjoint_paths_with(&snap.graph, s, t, k, None, &mut ws)
+                .into_iter()
+                .map(|p| p.edges)
+                .collect()
+        })
+        .collect()
+}
+
+fn assert_throughput_matches_full_graph(scale: ExperimentScale) {
+    let ctx = StudyContext::build(scale.config());
+    let (t, isl) = (0.0, ctx.config.network.isl_gbps);
+    let mut ws = FlowWorkspace::new();
+    let mut multipath = 0;
+    let mut hybrid_k4 = Vec::new();
+    for (mode, k) in COMBOS {
+        let snap = ctx.snapshot(t, mode);
+        let want = full_graph_paths(&ctx, &snap, k);
+        let got: Vec<Vec<Vec<u32>>> = route_pair_paths(&ctx, &snap, k)
+            .into_iter()
+            .map(|ps| ps.into_iter().map(|p| p.edges).collect())
+            .collect();
+        assert_eq!(got, want, "{scale:?} {mode:?} k={k}: paths differ");
+        multipath += want.iter().filter(|ps| ps.len() > 1).count();
+
+        let r = throughput(&ctx, t, mode, k);
+        let w = throughput_from_path_edges(&ctx, &snap, &want, isl, &mut ws);
+        assert_eq!(
+            (r.aggregate_gbps.to_bits(), r.routed_pairs, r.flows),
+            (w.aggregate_gbps.to_bits(), w.routed_pairs, w.flows),
+            "{scale:?} {mode:?} k={k}: throughput differs"
+        );
+        if (mode, k) == (Mode::Hybrid, 4) {
+            hybrid_k4 = want;
+        }
+    }
+    assert!(multipath > 0, "{scale:?}: no pair got a second path");
+
+    // fig5: BP reference, then hybrid re-solved per ISL capacity ratio.
+    let ratios = [0.5, 1.0, 3.0];
+    let gt = ctx.config.network.gt_link_gbps;
+    let rows = isl_capacity_sweep(&ctx, t, 4, &ratios);
+    let bp = ctx.snapshot(t, Mode::BpOnly);
+    let bp_paths = full_graph_paths(&ctx, &bp, 4);
+    let hybrid = ctx.snapshot(t, Mode::Hybrid);
+    let mut want = vec![(
+        0.0,
+        throughput_from_path_edges(&ctx, &bp, &bp_paths, isl, &mut ws),
+    )];
+    for r in ratios {
+        want.push((
+            r,
+            throughput_from_path_edges(&ctx, &hybrid, &hybrid_k4, gt * r, &mut ws),
+        ));
+    }
+    let want: Vec<(u64, u64)> = want
+        .iter()
+        .map(|(r, w)| (r.to_bits(), w.aggregate_gbps.to_bits()))
+        .collect();
+    let got: Vec<(u64, u64)> = rows
+        .iter()
+        .map(|(r, g)| (r.to_bits(), g.to_bits()))
+        .collect();
+    assert_eq!(got, want, "{scale:?}: isl_capacity_sweep rows differ");
+}
+
+#[test]
+fn tiny_throughput_routing_matches_full_graph_paths_exactly() {
+    assert_throughput_matches_full_graph(ExperimentScale::Tiny);
+}
+
+#[test]
+fn bench_throughput_routing_matches_full_graph_paths_exactly() {
+    assert_throughput_matches_full_graph(ExperimentScale::Bench);
 }
