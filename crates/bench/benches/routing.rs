@@ -1,7 +1,7 @@
 //! Routing-workspace benchmarks: the evidence for the zero-alloc
 //! `DijkstraWorkspace` + `snapshot_bundle` refactor.
 //!
-//! Three before/after pairs, each isolating one layer of the change:
+//! Before/after pairs, each isolating one layer of the change:
 //!
 //! * `sssp_fresh_alloc` vs `sssp_workspace` — one single-source run with
 //!   per-call allocation vs warm generation-stamped buffers.
@@ -16,9 +16,8 @@
 //! * `inner_loop_sweep` — the same inner loop on a warm [`TimeSweep`]
 //!   stepped 15 s per iteration, i.e. what `sweep_map`-based drivers now
 //!   run per instant after the first.
-//! * `maxflow_fresh` vs `maxflow_workspace` — one Dinic run with
-//!   per-call scratch vs a warm [`MaxFlowWorkspace`] (both pay the same
-//!   residual-network clone).
+//! * `maxflow_fresh` — one Dinic run, including the residual-network
+//!   clone it consumes.
 //! * `maxmin_fresh` vs `maxmin_workspace` — one fig4-style max-min-fair
 //!   solve with per-call buffers vs a warm [`FlowWorkspace`].
 //!
@@ -30,10 +29,7 @@ use std::collections::HashMap;
 use leo_bench::{finish_run, init_run};
 use leo_core::{ExperimentScale, Mode, StudyContext, TimeSweep};
 use leo_flow::{FlowSim, FlowWorkspace};
-use leo_graph::{
-    dijkstra, k_edge_disjoint_paths, max_flow, max_flow_with, DijkstraWorkspace, FlowNetwork,
-    MaxFlowWorkspace,
-};
+use leo_graph::{dijkstra, k_edge_disjoint_paths, max_flow, DijkstraWorkspace, FlowNetwork};
 use leo_util::bench::Harness;
 
 /// Seed-style grouping of pair indices by source city (what
@@ -146,8 +142,8 @@ fn bench_inner_loop(h: &mut Harness, ctx: &StudyContext) {
 }
 
 fn bench_maxflow(h: &mut Harness, ctx: &StudyContext) {
-    // Dinic consumes residual capacities, so both sides pay one network
-    // clone per call; the pair isolates the per-call scratch allocation.
+    // Dinic consumes residual capacities, so each call pays one network
+    // clone.
     let snap = ctx.snapshot(900.0, Mode::Hybrid);
     let mut base = FlowNetwork::new(snap.graph.num_nodes());
     for e in 0..snap.graph.num_edges() as u32 {
@@ -156,10 +152,6 @@ fn bench_maxflow(h: &mut Harness, ctx: &StudyContext) {
     }
     let (s, t) = (snap.city_node(0), snap.city_node(1));
     h.bench("maxflow_fresh", || max_flow(&mut base.clone(), s, t));
-    let mut ws = MaxFlowWorkspace::new();
-    h.bench("maxflow_workspace", move || {
-        max_flow_with(&mut base.clone(), s, t, &mut ws)
-    });
 }
 
 fn bench_maxmin(h: &mut Harness, ctx: &StudyContext) {

@@ -7,7 +7,6 @@
 //! shortest path changes its node sequence, and how much the RTT jumps
 //! when it does.
 
-use crate::experiments::spt::SourceSptPool;
 use crate::snapshot::{Mode, StudyContext};
 use leo_graph::with_thread_workspace;
 use leo_util::sketch::FixedSum;
@@ -51,8 +50,6 @@ struct ChurnAcc {
     jump_sum: FixedSum,
     jump_max: f64,
     series: MetricSeries,
-    /// Incremental trees, one per source city (budget permitting).
-    spt: Option<SourceSptPool>,
 }
 
 /// Count one consecutive-snapshot transition for a pair.
@@ -89,11 +86,6 @@ fn count_transition(
 /// event (boundary-stitched jumps are counted in the stats but not in
 /// the series — they surface only at merge time, after the snapshot's
 /// event has been emitted) and ticks a `churn_study` [`Heartbeat`].
-///
-/// **Delta path**: when the pair set fits [`SourceSptPool`]'s budget,
-/// per-source shortest-path trees are repaired from the sweep's edge
-/// deltas instead of re-running Dijkstra per snapshot; path hashes and
-/// RTTs are bit-identical either way.
 pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats {
     let _span = span!(
         "churn_study",
@@ -102,10 +94,9 @@ pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats
     );
     let times = ctx.config.snapshot_times_s.clone();
     let num_pairs = ctx.pairs.len();
-    let pooled = SourceSptPool::fits(ctx, 1);
     let hb = Heartbeat::new("churn_study", times.len() as u64);
 
-    let acc = ctx.sweep_fold_deltas(
+    let acc = ctx.sweep_fold(
         &times,
         &[mode],
         threads,
@@ -123,53 +114,30 @@ pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats
             jump_sum: FixedSum::new(),
             jump_max: 0.0,
             series: MetricSeries::new("churn_jump_ms"),
-            spt: pooled.then(|| SourceSptPool::new(ctx)),
         },
-        |acc, ti, snaps, deltas| {
+        |acc, ti, snaps| {
             let snap = &snaps[0];
             // Per snapshot, per pair: (node-sequence hash, rtt).
             let mut obs: Vec<Option<(u64, f64)>> = vec![None; num_pairs];
-            if let Some(pool) = acc.spt.as_mut() {
-                // Delta path: repair each source's tree and read paths
-                // off its canonical parents — bit-identical to the
-                // `run_multi` fallback below (equivalence contract).
-                for (si, (src, idxs)) in ctx.pairs_by_src().iter().enumerate() {
-                    let spt = pool.tree(si, snap.city_node(*src as usize), snap, &deltas[0]);
+            let mut targets = Vec::new();
+            with_thread_workspace(|ws| {
+                for (src, idxs) in ctx.pairs_by_src() {
+                    targets.clear();
+                    targets.extend(
+                        idxs.iter()
+                            .map(|&i| snap.city_node(ctx.pairs[i].dst as usize)),
+                    );
+                    let view =
+                        ws.run_multi(&snap.graph, snap.city_node(*src as usize), None, &targets);
                     for &i in idxs {
                         let d = snap.city_node(ctx.pairs[i].dst as usize);
-                        if let Some(path) = spt.extract_path(d) {
+                        if let Some(path) = view.extract_path(d) {
                             obs[i] =
                                 Some((hash_nodes(&path.nodes), crate::rtt_ms(path.total_weight)));
                         }
                     }
                 }
-            } else {
-                let mut targets = Vec::new();
-                with_thread_workspace(|ws| {
-                    for (src, idxs) in ctx.pairs_by_src() {
-                        targets.clear();
-                        targets.extend(
-                            idxs.iter()
-                                .map(|&i| snap.city_node(ctx.pairs[i].dst as usize)),
-                        );
-                        let view = ws.run_multi(
-                            &snap.graph,
-                            snap.city_node(*src as usize),
-                            None,
-                            &targets,
-                        );
-                        for &i in idxs {
-                            let d = snap.city_node(ctx.pairs[i].dst as usize);
-                            if let Some(path) = view.extract_path(d) {
-                                obs[i] = Some((
-                                    hash_nodes(&path.nodes),
-                                    crate::rtt_ms(path.total_weight),
-                                ));
-                            }
-                        }
-                    }
-                });
-            }
+            });
             let ChurnAcc {
                 started,
                 pairs,
@@ -178,7 +146,6 @@ pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats
                 jump_sum,
                 jump_max,
                 series,
-                spt: _,
             } = acc;
             if *started {
                 for (p, o) in pairs.iter_mut().zip(&obs) {
@@ -215,7 +182,6 @@ pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats
                 jump_sum,
                 jump_max,
                 series,
-                spt: _,
             } = a;
             *transitions += b.transitions;
             *changes += b.changes;
@@ -303,6 +269,67 @@ mod tests {
             );
             assert_eq!(a.mean_jump_ms.to_bits(), b.mean_jump_ms.to_bits());
             assert_eq!(a.max_jump_ms.to_bits(), b.max_jump_ms.to_bits());
+        }
+    }
+
+    #[test]
+    fn churn_matches_fresh_dijkstra_reference_loop() {
+        // Oracle: per instant a fresh snapshot, one full Dijkstra per
+        // source, path hashes from the materialized tree, and the same
+        // transition rules — no sweep, no chunking, no early exit.
+        let ctx = StudyContext::build(ExperimentScale::Tiny.config());
+        for mode in [Mode::BpOnly, Mode::Hybrid] {
+            let mut prev: Vec<Option<(u64, f64)>> = vec![None; ctx.pairs.len()];
+            let (mut transitions, mut changes) = (0u64, 0u64);
+            let (mut jump_sum, mut jump_max) = (FixedSum::new(), 0.0f64);
+            for (ti, &t) in ctx.config.snapshot_times_s.iter().enumerate() {
+                let snap = ctx.snapshot(t, mode);
+                let mut obs = vec![None; ctx.pairs.len()];
+                for (src, idxs) in ctx.pairs_by_src() {
+                    let sp = leo_graph::dijkstra(&snap.graph, snap.city_node(*src as usize));
+                    for &i in idxs {
+                        let d = snap.city_node(ctx.pairs[i].dst as usize);
+                        obs[i] = leo_graph::extract_path(&sp, d)
+                            .map(|p| (hash_nodes(&p.nodes), crate::rtt_ms(p.total_weight)));
+                    }
+                }
+                if ti > 0 {
+                    for (p, o) in prev.iter().zip(&obs) {
+                        count_transition(
+                            *p,
+                            *o,
+                            &mut transitions,
+                            &mut changes,
+                            &mut jump_sum,
+                            &mut jump_max,
+                        );
+                    }
+                }
+                prev = obs;
+            }
+            assert!(changes > 0, "{mode:?}: reference saw no path change");
+            for threads in [1, 3] {
+                let s = churn_study(&ctx, mode, threads);
+                let what = format!("{mode:?} threads={threads}");
+                assert_eq!(s.transitions as u64, transitions, "{what}: transitions");
+                let got_changes = (s.path_change_fraction * s.transitions as f64).round() as u64;
+                assert_eq!(got_changes, changes, "{what}: changes");
+                assert_eq!(
+                    s.path_change_fraction.to_bits(),
+                    (changes as f64 / transitions as f64).to_bits(),
+                    "{what}: path_change_fraction"
+                );
+                assert_eq!(
+                    s.mean_jump_ms.to_bits(),
+                    (jump_sum.value() / changes as f64).to_bits(),
+                    "{what}: mean_jump_ms"
+                );
+                assert_eq!(
+                    s.max_jump_ms.to_bits(),
+                    jump_max.to_bits(),
+                    "{what}: max_jump_ms"
+                );
+            }
         }
     }
 

@@ -5,9 +5,8 @@
 //! (Fig. 2a) and the max-minus-min RTT range (Fig. 2b). The per-source
 //! grouping means one Dijkstra per unique source city per snapshot.
 
-use crate::experiments::spt::SourceSptPool;
 use crate::metrics::Distribution;
-use crate::snapshot::{EdgeDelta, Mode, NetworkSnapshot, NodeKind, StudyContext};
+use crate::snapshot::{Mode, NetworkSnapshot, NodeKind, StudyContext};
 use leo_data::traffic::CityPair;
 use leo_graph::{with_thread_workspace, CoreGraph, NodeId};
 use leo_util::span;
@@ -248,41 +247,6 @@ pub fn snapshot_rtts_on(ctx: &StudyContext, snap: &NetworkSnapshot) -> Vec<Optio
             }
         }
     });
-    out
-}
-
-/// RTTs (ms) for all pairs on a snapshot via pooled incremental
-/// shortest-path trees: each source pays a delta repair instead of a
-/// fresh Dijkstra, and the repair's relaxation drain stops as soon as
-/// this source's destinations have settled
-/// ([`SourceSptPool::tree_for_targets`]). Bit-identical to
-/// [`snapshot_rtts_on`] — repaired distances for queried targets match
-/// fresh runs exactly (the `SptWorkspace` early-exit contract), and
-/// `run_multi`'s early exit settles every queried target at its true
-/// distance.
-pub fn snapshot_rtts_spt(
-    ctx: &StudyContext,
-    snap: &NetworkSnapshot,
-    delta: &EdgeDelta,
-    pool: &mut SourceSptPool,
-) -> Vec<Option<f64>> {
-    let mut out = vec![None; ctx.pairs.len()];
-    let mut targets = Vec::new();
-    for (si, (src, pair_idxs)) in ctx.pairs_by_src().iter().enumerate() {
-        targets.clear();
-        targets.extend(
-            pair_idxs
-                .iter()
-                .map(|&i| snap.city_node(ctx.pairs[i].dst as usize)),
-        );
-        let spt = pool.tree_for_targets(si, snap.city_node(*src as usize), snap, delta, &targets);
-        for &i in pair_idxs {
-            let d = spt.dist(snap.city_node(ctx.pairs[i].dst as usize));
-            if d.is_finite() {
-                out[i] = Some(crate::rtt_ms(d));
-            }
-        }
-    }
     out
 }
 

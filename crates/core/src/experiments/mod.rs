@@ -12,7 +12,6 @@
 //! | [`churn`] | extension: path-churn statistics behind Fig. 2(b) |
 //! | [`weather_throughput`] | extension: MODCOD-degraded capacities joining §5 and §6 |
 //! | [`packet_delay`] | extension: packet-level queueing delay/jitter on BP vs hybrid paths |
-//! | [`spt`] | shared: budgeted incremental shortest-path-tree pool for the delta-path drivers |
 
 pub mod churn;
 pub mod cross_shell;
@@ -21,7 +20,6 @@ pub mod gso_arc;
 pub mod latency;
 pub mod packet_delay;
 pub mod routing;
-pub mod spt;
 pub mod throughput;
 pub mod weather;
 pub mod weather_throughput;

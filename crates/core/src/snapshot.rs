@@ -5,8 +5,7 @@
 //!
 //! * [`StudyContext::snapshot`] / [`StudyContext::snapshot_bundle`] —
 //!   freeze one instant from scratch.
-//! * [`TimeSweep`] (via [`StudyContext::sweep`],
-//!   [`StudyContext::sweep_times`], or the parallel
+//! * [`TimeSweep`] (via the parallel [`StudyContext::sweep_fold`] or
 //!   [`StudyContext::sweep_map`]) — walk a whole time series keeping the
 //!   satellite state, the sub-point cell index, and every per-ground-point
 //!   visibility set alive between instants, so consecutive snapshots cost
@@ -28,8 +27,9 @@ use leo_orbit::{
     isl_line_of_sight, plus_grid_isls, CellTransition, Constellation, ConstellationSnapshot,
     IslLink, VisibilityParams, SUBPOINT_BIN_DEG,
 };
-use leo_util::telemetry::{enabled, Counter, Level};
+use leo_util::telemetry::Counter;
 use leo_util::{debug_span, span};
+use std::cmp::Ordering;
 
 /// Telemetry: snapshots frozen across all experiments (the unit of work
 /// the pipeline fans out over).
@@ -40,52 +40,32 @@ static SNAPSHOTS_BUILT: Counter = Counter::new("snapshots_built");
 /// [`StudyContext::snapshot_bundle`] did *not* redo.
 static VISIBILITY_SHARED_MODES: Counter = Counter::new("visibility_shared_modes");
 /// Telemetry: sweep steps that rebuilt satellite state from scratch (the
-/// first step of every [`TimeSweep`], including each `sweep_map` chunk).
+/// first step of every [`TimeSweep`], including each `sweep_fold` chunk).
 static SWEEP_FULL_REBUILDS: Counter = Counter::new("sweep_full_rebuilds");
 /// Telemetry: satellites relocated between sub-point cells by incremental
 /// sweep steps — the work a full index rebuild would redo for *every*
 /// satellite.
 static SWEEP_CELL_TRANSITIONS: Counter = Counter::new("sweep_cell_transitions");
-/// Telemetry: GT–satellite links whose membership persisted from the
-/// previous sweep step (only the delay/elevation weights were refreshed).
-/// Counted for static ground points (cities + relays); aircraft links
-/// are always recomputed because the aircraft themselves move.
-static SWEEP_EDGES_REUSED: Counter = Counter::new("sweep_edges_reused");
-/// Telemetry: GT–satellite links that newly appeared in a sweep step
-/// (satellite rose above the minimum elevation for that ground point).
-static SWEEP_EDGES_RECOMPUTED: Counter = Counter::new("sweep_edges_recomputed");
 
-/// How one mode's edge set changed between two consecutive
-/// [`TimeSweep`] steps.
+/// How one mode's edge set changed between the graph a
+/// [`TimeSweep::step_with_deltas`] call replaced and the one it built.
 ///
 /// Edge ids are **positional** (insertion order into the
 /// [`GraphBuilder`]), so a persisted link generally changes id between
-/// steps; the delta carries the mapping:
+/// steps. The delta is a diff of the two graphs keyed by `(u, v)`
+/// endpoints, as [`Graph::edge`] reports them:
 ///
-/// * `reweighted` — links whose endpoints persisted, as
-///   `(old id, new id)` pairs. Their weight is always refreshed
-///   (satellites move every step), so *every* surviving edge appears
-///   here — sweep deltas have no "unchanged" class.
-/// * `removed` — old ids whose link vanished (satellite set below the
-///   minimum elevation, ISL lost line of sight, aircraft stepped).
-/// * `added` — new ids that have no old counterpart.
-/// * `full` — true when no previous step exists to diff against (the
-///   first step of a sweep or chunk): the id vectors are empty and
-///   consumers must rebuild their derived state from the snapshot.
+/// * `reweighted` — `(old id, new id)` for edges whose endpoints appear
+///   in both graphs. Satellites move every step, so every surviving
+///   edge is listed here — sweep deltas have no "unchanged" class.
+/// * `removed` — old ids with no new edge on the same endpoints.
+/// * `added` — new ids with no old edge on the same endpoints.
+/// * `full` — true on a sweep's first step, when there is no previous
+///   graph to diff against: the id vectors are empty.
 ///
-/// Aircraft relays move themselves, but while the aircraft census is
-/// unchanged between steps their node ids are stable and their links
-/// pair by satellite id like any ground point. Only a census change
-/// (takeoff / landing shifts the node-table tail) degrades aircraft
-/// links to a wholesale `removed` + `added` diff (`num_nodes` carries
-/// the new node count).
-///
-/// The exact shape [`leo_graph::SptWorkspace::apply`] consumes:
-/// `apply(&snap.graph, &delta.removed, &delta.reweighted)` repairs a
-/// shortest-path tree to bit-identity with a fresh Dijkstra run. The
-/// replay invariant — old edge set transformed by the delta equals the
-/// new snapshot's edge set exactly — is pinned by the property suite in
-/// `tests/sweep.rs`.
+/// Aircraft node ids are positions in each step's aircraft census, so
+/// after a takeoff or landing an aircraft id can name a different
+/// aircraft; the diff pairs by node id regardless.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeDelta {
     /// No previous step to diff against; id vectors are empty.
@@ -98,6 +78,56 @@ pub struct EdgeDelta {
     pub removed: Vec<EdgeId>,
     /// `(old id, new id)` for links whose endpoints persisted.
     pub reweighted: Vec<(EdgeId, EdgeId)>,
+}
+
+/// An edge's `(u, v)` endpoints and id — the sort key of the
+/// [`EdgeDelta`] diff.
+type EdgeKey = (NodeId, NodeId, EdgeId);
+
+/// Fill `out` with `g`'s edge keys, sorted.
+fn sorted_edge_keys(g: &Graph, out: &mut Vec<EdgeKey>) {
+    out.clear();
+    out.extend((0..g.num_edges() as EdgeId).map(|e| {
+        let (u, v, _) = g.edge(e);
+        (u, v, e)
+    }));
+    out.sort_unstable();
+}
+
+impl EdgeDelta {
+    /// Merge-join two sorted key lists on endpoints (parallel edges pair
+    /// up in id order).
+    fn diff(&mut self, full: bool, num_nodes: usize, old: &[EdgeKey], new: &[EdgeKey]) {
+        self.full = full;
+        self.num_nodes = num_nodes;
+        self.added.clear();
+        self.removed.clear();
+        self.reweighted.clear();
+        if full {
+            return;
+        }
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            let ((ou, ov, o), (nu, nv, n)) = (old[i], new[j]);
+            match (ou, ov).cmp(&(nu, nv)) {
+                Ordering::Less => {
+                    self.removed.push(o);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    self.added.push(n);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    self.reweighted.push((o, n));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        self.removed.extend(old[i..].iter().map(|k| k.2));
+        self.added.extend(new[j..].iter().map(|k| k.2));
+    }
 }
 
 /// Connectivity mode of a snapshot (paper §3).
@@ -293,7 +323,7 @@ impl StudyContext {
     ///
     /// Building several modes at the same `t_s`? Use
     /// [`StudyContext::snapshot_bundle`]. Walking a time series? Use
-    /// [`StudyContext::sweep_times`] or [`StudyContext::sweep_map`],
+    /// [`StudyContext::sweep_fold`] or [`StudyContext::sweep_map`],
     /// which additionally keep state alive *between* instants.
     pub fn snapshot(&self, t_s: f64, mode: Mode) -> NetworkSnapshot {
         self.snapshot_bundle(t_s, &[mode])
@@ -321,85 +351,30 @@ impl StudyContext {
         sweep.into_snapshots()
     }
 
-    /// Walk the time series `times`, calling `f(i, snapshots)` with the
-    /// bundle for `times[i]` under `modes` (one snapshot per mode, in
-    /// order). Consecutive instants share a [`TimeSweep`], so each step
-    /// after the first is an incremental update, not a rebuild.
-    ///
-    /// The snapshot slice passed to `f` is reused between steps — clone
-    /// out anything that must outlive the call.
-    pub fn sweep_times(
-        &self,
-        times: &[f64],
-        modes: &[Mode],
-        mut f: impl FnMut(usize, &[NetworkSnapshot]),
-    ) {
-        let mut sweep = TimeSweep::new(self, modes);
-        for (i, &t) in times.iter().enumerate() {
-            f(i, sweep.step(t));
-        }
-    }
-
-    /// [`StudyContext::sweep_times`] over the arithmetic grid
-    /// `t0_s + i·dt_s` for `i in 0..n`.
-    pub fn sweep(
-        &self,
-        t0_s: f64,
-        dt_s: f64,
-        n: usize,
-        modes: &[Mode],
-        mut f: impl FnMut(usize, &[NetworkSnapshot]),
-    ) {
-        let mut sweep = TimeSweep::new(self, modes);
-        for i in 0..n {
-            f(i, sweep.step(t0_s + i as f64 * dt_s));
-        }
-    }
-
-    /// Parallel [`StudyContext::sweep_times`]: splits `times` into
-    /// `threads` contiguous chunks, runs one [`TimeSweep`] per chunk, and
-    /// returns `f(i, snapshots)` for every index in order.
-    ///
-    /// `threads == 0` means "use available parallelism", exactly like
-    /// [`crate::par::parallel_map`]. Because sweep-built snapshots are
-    /// bit-identical to fresh ones, the results do not depend on the
-    /// thread count — only the first step of each chunk pays the full
-    /// rebuild cost.
+    /// [`StudyContext::sweep_fold`] collecting `f(i, snapshots)` for
+    /// every index of `times`, in order.
     pub fn sweep_map<R, F>(&self, times: &[f64], modes: &[Mode], threads: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &[NetworkSnapshot]) -> R + Sync,
     {
-        let n = times.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(4, |p| p.get())
-        } else {
-            threads
-        }
-        .min(n);
-        let chunk = n.div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|lo| (lo, (lo + chunk).min(n)))
-            .collect();
-        let per_chunk = crate::par::parallel_map(&ranges, threads, |&(lo, hi)| {
-            let mut sweep = TimeSweep::new(self, modes);
-            let mut out = Vec::with_capacity(hi - lo);
-            for (i, &t) in times.iter().enumerate().take(hi).skip(lo) {
-                out.push(f(i, sweep.step(t)));
-            }
-            out
-        });
-        per_chunk.into_iter().flatten().collect()
+        self.sweep_fold(
+            times,
+            modes,
+            threads,
+            Vec::new,
+            |out, i, snaps| out.push(f(i, snaps)),
+            |out, part| out.extend(part),
+        )
     }
 
-    /// Streaming parallel sweep: like [`StudyContext::sweep_map`], but
-    /// each chunk folds into an accumulator of type `A` instead of
-    /// collecting one result per snapshot — memory stays O(threads ·
-    /// |A|) no matter how long the time series is.
+    /// Streaming parallel sweep: splits `times` into `threads`
+    /// contiguous chunks, runs one [`TimeSweep`] per chunk, and folds
+    /// each chunk into an accumulator of type `A` — memory stays
+    /// O(threads · |A|) no matter how long the time series is.
+    /// `threads == 0` means "use available parallelism", exactly like
+    /// [`crate::par::parallel_map`]; only the first step of each chunk
+    /// pays the full rebuild cost.
     ///
     /// `make` builds a fresh accumulator per chunk, `step(acc, i, snaps)`
     /// folds snapshot `i` in, and `merge(into, from)` combines chunk
@@ -454,78 +429,6 @@ impl StudyContext {
         }
         acc
     }
-
-    /// [`StudyContext::sweep_times`] with per-mode [`EdgeDelta`]s:
-    /// `f(i, snapshots, deltas)` receives, alongside each bundle, how
-    /// every mode's edge set changed since the previous step (`full` on
-    /// step 0). Both slices are reused between steps.
-    pub fn sweep_deltas(
-        &self,
-        times: &[f64],
-        modes: &[Mode],
-        mut f: impl FnMut(usize, &[NetworkSnapshot], &[EdgeDelta]),
-    ) {
-        let mut sweep = TimeSweep::new(self, modes);
-        for (i, &t) in times.iter().enumerate() {
-            let (snaps, deltas) = sweep.step_with_deltas(t);
-            f(i, snaps, deltas);
-        }
-    }
-
-    /// [`StudyContext::sweep_fold`] with per-mode [`EdgeDelta`]s — the
-    /// streaming parallel sweep for delta-consuming accumulators (e.g.
-    /// per-source [`leo_graph::SptWorkspace`]s). Each chunk's first step
-    /// carries `full = true` deltas, so accumulators rebuild derived
-    /// state at chunk starts and repair incrementally inside the chunk;
-    /// because repaired state is bit-identical to a fresh rebuild, the
-    /// fold stays thread-count invariant under the same associativity
-    /// condition as `sweep_fold`.
-    pub fn sweep_fold_deltas<A, F, M>(
-        &self,
-        times: &[f64],
-        modes: &[Mode],
-        threads: usize,
-        make: impl Fn() -> A + Sync,
-        step: F,
-        merge: M,
-    ) -> A
-    where
-        A: Send,
-        F: Fn(&mut A, usize, &[NetworkSnapshot], &[EdgeDelta]) + Sync,
-        M: Fn(&mut A, A),
-    {
-        let n = times.len();
-        if n == 0 {
-            return make();
-        }
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(4, |p| p.get())
-        } else {
-            threads
-        }
-        .min(n);
-        let chunk = n.div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|lo| (lo, (lo + chunk).min(n)))
-            .collect(); // lint: allow(hot-path-alloc) one tiny Vec of chunk bounds per sweep fan-out, not per step
-        let per_chunk = crate::par::parallel_map(&ranges, threads, |&(lo, hi)| {
-            let mut sweep = TimeSweep::new(self, modes);
-            let mut acc = make();
-            for (i, &t) in times.iter().enumerate().take(hi).skip(lo) {
-                let (snaps, deltas) = sweep.step_with_deltas(t);
-                step(&mut acc, i, snaps, deltas);
-            }
-            acc
-        });
-        let mut iter = per_chunk.into_iter();
-        // lint: allow(unwrap-in-lib) n > 0 guarantees at least one chunk accumulator
-        let mut acc = iter.next().expect("at least one chunk");
-        for part in iter {
-            merge(&mut acc, part);
-        }
-        acc
-    }
 }
 
 /// Incremental snapshot engine: walks a time series keeping satellite
@@ -540,7 +443,7 @@ impl StudyContext {
 /// [`ConstellationSnapshot::advance_to`]), ground-point cell windows are
 /// precomputed once, and link/edge/node vectors are recycled.
 ///
-/// **Delta invariant**: the snapshots returned by step `k` of a sweep are
+/// **Equivalence**: the snapshots returned by step `k` of a sweep are
 /// node-for-node, edge-for-edge, and weight-bit identical to
 /// [`StudyContext::snapshot_bundle`] called fresh at the same instant.
 /// Membership of a GT–satellite link persists across steps whenever the
@@ -586,55 +489,13 @@ pub struct TimeSweep<'a> {
     air_links: Vec<Vec<(u32, f64, f64)>>,
     air_cells: Vec<(u32, u32)>,
     isl_links: Vec<(NodeId, NodeId, f64)>,
-    /// Previous step's visible-satellite ids for one ground point
-    /// (sorted), used for the reused/recomputed telemetry split.
-    prev_ids: Vec<u32>,
     builder: GraphBuilder,
     snapshots: Vec<NetworkSnapshot>,
-    /// Delta tracking (opt-in via [`TimeSweep::step_with_deltas`]).
-    track_deltas: bool,
-    /// True once one tracked step completed — i.e. the `prev_*`
-    /// bookkeeping below describes a real previous step.
-    delta_ready: bool,
+    /// [`TimeSweep::step_with_deltas`] output, the outgoing graphs'
+    /// sorted edge keys per mode, and the incoming graph's.
     deltas: Vec<EdgeDelta>,
-    /// Line-of-sight flag per [`StudyContext::isls`] entry, this step /
-    /// previous step (swapped before each recompute).
-    isl_present: Vec<bool>,
-    prev_isl_present: Vec<bool>,
-    /// Previous step's visible-satellite ids per static ground point, in
-    /// emission order (the order `assemble_mode` assigned edge ids).
-    prev_static_ids: Vec<Vec<u32>>,
-    /// Previous step's total aircraft link count (the wholesale-diff
-    /// fallback when the census changed).
-    prev_air_total: usize,
-    /// Previous step's aircraft census (schedule ids, census order) and
-    /// per-aircraft visible-satellite ids in emission order. When the
-    /// census survives a step unchanged, aircraft node ids are stable
-    /// and links pair by satellite id exactly like static ground.
-    prev_air_ids: Vec<u64>,
-    prev_air_sat_ids: Vec<Vec<u32>>,
-    /// Whether the census matched (same flights, same order) — gates
-    /// per-link aircraft matching vs the wholesale fallback.
-    air_census_stable: bool,
-    /// Per-aircraft block-local matches, valid when the census is stable.
-    air_matched: Vec<Vec<(u32, u32)>>,
-    air_removed: Vec<Vec<u32>>,
-    air_added: Vec<Vec<u32>>,
-    /// Block-local (old, new) id pairs for ISLs with line of sight in
-    /// both steps, plus old-only / new-only positions.
-    isl_matched: Vec<(u32, u32)>,
-    isl_removed: Vec<u32>,
-    isl_added: Vec<u32>,
-    prev_isl_count: u32,
-    /// Per static ground point: (old position, new position) matches in
-    /// new-emission order, plus old-only / new-only positions.
-    gi_matched: Vec<Vec<(u32, u32)>>,
-    gi_removed: Vec<Vec<u32>>,
-    gi_added: Vec<Vec<u32>>,
-    /// Matching scratch: (sat id, old position) sorted by sat id, and a
-    /// consumed flag per entry.
-    match_sorted: Vec<(u32, u32)>,
-    match_consumed: Vec<bool>,
+    old_keys: Vec<Vec<EdgeKey>>,
+    new_keys: Vec<EdgeKey>,
 }
 
 impl<'a> TimeSweep<'a> {
@@ -705,31 +566,11 @@ impl<'a> TimeSweep<'a> {
             air_links: Vec::new(),
             air_cells: Vec::new(),
             isl_links: Vec::new(),
-            prev_ids: Vec::new(),
             builder: GraphBuilder::new(0),
             snapshots,
-            track_deltas: false,
-            delta_ready: false,
             deltas: Vec::new(),
-            isl_present: Vec::new(),
-            prev_isl_present: Vec::new(),
-            prev_static_ids: Vec::new(),
-            prev_air_total: 0,
-            prev_air_ids: Vec::new(),
-            prev_air_sat_ids: Vec::new(),
-            air_census_stable: false,
-            air_matched: Vec::new(),
-            air_removed: Vec::new(),
-            air_added: Vec::new(),
-            isl_matched: Vec::new(),
-            isl_removed: Vec::new(),
-            isl_added: Vec::new(),
-            prev_isl_count: 0,
-            gi_matched: Vec::new(),
-            gi_removed: Vec::new(),
-            gi_added: Vec::new(),
-            match_sorted: Vec::new(),
-            match_consumed: Vec::new(),
+            old_keys: Vec::new(),
+            new_keys: Vec::new(),
         }
     }
 
@@ -741,52 +582,8 @@ impl<'a> TimeSweep<'a> {
     /// incremental update is exact regardless of `dt` (a large jump just
     /// relocates more satellites between cells).
     pub fn step(&mut self, t_s: f64) -> &[NetworkSnapshot] {
-        self.step_impl(t_s);
-        &self.snapshots
-    }
-
-    /// Like [`TimeSweep::step`], additionally returning one [`EdgeDelta`]
-    /// per mode describing how each edge set changed since the previous
-    /// step. The first call (on this sweep, or after plain-`step`-only
-    /// use since construction… tracking starts on first request and the
-    /// first tracked-after-untracked step has no bookkeeping to diff
-    /// against) yields `full = true` deltas.
-    ///
-    /// Both returned slices borrow the sweep and are overwritten by the
-    /// next step.
-    pub fn step_with_deltas(&mut self, t_s: f64) -> (&[NetworkSnapshot], &[EdgeDelta]) {
-        if !self.track_deltas {
-            self.start_delta_tracking();
-        }
-        self.step_impl(t_s);
-        (&self.snapshots, &self.deltas)
-    }
-
-    /// One-time allocation of the delta-tracking bookkeeping, on the
-    /// first [`TimeSweep::step_with_deltas`] call. Everything sized here
-    /// is recycled on every subsequent step (declared cold in
-    /// `lint.toml`, so `hot-path-alloc` reachability stops at this fn).
-    fn start_delta_tracking(&mut self) {
-        self.track_deltas = true;
-        self.delta_ready = false;
-        self.deltas = self.modes.iter().map(|_| EdgeDelta::default()).collect();
-        self.isl_present = vec![false; self.ctx.isls.len()];
-        self.prev_isl_present = vec![false; self.ctx.isls.len()];
-        self.prev_static_ids = vec![Vec::new(); self.static_ground.len()];
-        self.gi_matched = vec![Vec::new(); self.static_ground.len()];
-        self.gi_removed = vec![Vec::new(); self.static_ground.len()];
-        self.gi_added = vec![Vec::new(); self.static_ground.len()];
-    }
-
-    /// The deltas produced by the most recent step (empty unless
-    /// [`TimeSweep::step_with_deltas`] has been used).
-    pub fn deltas(&self) -> &[EdgeDelta] {
-        &self.deltas
-    }
-
-    fn step_impl(&mut self, t_s: f64) {
         if self.modes.is_empty() {
-            return;
+            return &self.snapshots;
         }
         let _span = debug_span!("sweep_step", t_s = t_s, modes = self.modes.len());
         SNAPSHOTS_BUILT.add(self.modes.len() as u64);
@@ -805,29 +602,6 @@ impl<'a> TimeSweep<'a> {
             SWEEP_FULL_REBUILDS.add(1);
             self.started = true;
         }
-        if self.track_deltas {
-            // Stash the outgoing step's bookkeeping before the recompute
-            // passes overwrite it. Aircraft census and links are copied
-            // here because `aircraft_into` below replaces the census.
-            self.prev_air_total = (0..self.aircraft.len())
-                .map(|ai| self.air_links[ai].len())
-                .sum();
-            self.prev_air_ids.clear();
-            // lint: allow(hot-path-alloc) refills a recycled buffer after clear; allocates only on a new peak aircraft count
-            self.prev_air_ids.extend(self.aircraft.iter().map(|a| a.id));
-            if self.prev_air_sat_ids.len() < self.aircraft.len() {
-                self.prev_air_sat_ids
-                    // lint: allow(hot-path-alloc) grows once per new peak aircraft count, then the guard above makes it a no-op
-                    .resize_with(self.aircraft.len(), Vec::new);
-            }
-            for ai in 0..self.aircraft.len() {
-                let prev = &mut self.prev_air_sat_ids[ai];
-                prev.clear();
-                // lint: allow(hot-path-alloc) refills a recycled per-aircraft buffer after clear; steady state is a memcpy
-                prev.extend(self.air_links[ai].iter().map(|l| l.0));
-            }
-            std::mem::swap(&mut self.prev_isl_present, &mut self.isl_present);
-        }
         self.grid
             .flatten_into(&mut self.cell_off, &mut self.cell_ids);
         if self.needs_full_ground {
@@ -840,24 +614,44 @@ impl<'a> TimeSweep<'a> {
         self.recompute_isls();
         self.recompute_static_links();
         self.recompute_aircraft_links();
-        if self.track_deltas && self.delta_ready {
-            self.compute_link_matches();
-        }
         for mi in 0..self.modes.len() {
             self.assemble_mode(mi, t_s);
-            if self.track_deltas {
-                self.assemble_delta(mi);
-            }
         }
-        if self.track_deltas {
-            self.delta_ready = true;
-        }
+        &self.snapshots
     }
 
-    /// The snapshots produced by the most recent [`TimeSweep::step`]
-    /// (placeholders with empty graphs before the first step).
-    pub fn snapshots(&self) -> &[NetworkSnapshot] {
-        &self.snapshots
+    /// Like [`TimeSweep::step`], additionally returning one [`EdgeDelta`]
+    /// per mode: the graph this step replaces diffed against the one it
+    /// builds, whichever call built the old one. The sweep's first step
+    /// yields `full = true` deltas. [`TimeSweep::step`] pays nothing for
+    /// this.
+    ///
+    /// Both returned slices borrow the sweep and are overwritten by the
+    /// next step.
+    pub fn step_with_deltas(&mut self, t_s: f64) -> (&[NetworkSnapshot], &[EdgeDelta]) {
+        let full = !self.started;
+        let n = self.modes.len();
+        self.deltas.resize_with(n, EdgeDelta::default);
+        self.old_keys.resize_with(n, Vec::new);
+        // A full step has nothing to diff: every key list stays empty.
+        if !full {
+            for (snap, keys) in self.snapshots.iter().zip(&mut self.old_keys) {
+                sorted_edge_keys(&snap.graph, keys);
+            }
+        }
+        self.step(t_s);
+        for ((snap, old), d) in self
+            .snapshots
+            .iter()
+            .zip(&self.old_keys)
+            .zip(&mut self.deltas)
+        {
+            if !full {
+                sorted_edge_keys(&snap.graph, &mut self.new_keys);
+            }
+            d.diff(full, snap.nodes.len(), old, &self.new_keys);
+        }
+        (&self.snapshots, &self.deltas)
     }
 
     /// Consume the sweep, keeping the final step's snapshots.
@@ -874,14 +668,10 @@ impl<'a> TimeSweep<'a> {
             return;
         }
         let clearance = self.ctx.config.network.isl_clearance_m;
-        for (i, l) in self.ctx.isls.iter().enumerate() {
+        for l in &self.ctx.isls {
             let pa = self.sats.position(l.a as usize);
             let pb = self.sats.position(l.b as usize);
-            let visible = isl_line_of_sight(&pa, &pb, clearance);
-            if self.track_deltas {
-                self.isl_present[i] = visible;
-            }
-            if visible {
+            if isl_line_of_sight(&pa, &pb, clearance) {
                 self.isl_links
                     .push((l.a, l.b, pa.distance(&pb) / SPEED_OF_LIGHT_M_S));
             }
@@ -901,25 +691,7 @@ impl<'a> TimeSweep<'a> {
     // lint: hot-path
     fn recompute_static_links(&mut self) {
         let (xs, ys, zs) = self.sats.xyz();
-        let count = enabled(Level::Info);
-        let track = self.track_deltas;
-        let (mut reused, mut recomputed) = (0u64, 0u64);
-        let prev_ids = &mut self.prev_ids;
-        let prev_static_ids = &mut self.prev_static_ids;
         for (gi, links) in self.static_links.iter_mut().enumerate() {
-            if count {
-                prev_ids.clear();
-                prev_ids.extend(links.iter().map(|l| l.0));
-                prev_ids.sort_unstable();
-            }
-            if track {
-                // Delta bookkeeping: the outgoing visibility set in
-                // emission order — exactly the positions `assemble_mode`
-                // turned into edge ids last step.
-                let prev = &mut prev_static_ids[gi];
-                prev.clear();
-                prev.extend(links.iter().map(|l| l.0));
-            }
             links.clear();
             let (g, g_norm) = self.static_ecef[gi];
             let mut emit = |sat: u32, range_m: f64, elev: f64| {
@@ -933,19 +705,6 @@ impl<'a> TimeSweep<'a> {
                 self.vis
                     .scan(&g, g_norm, (xs, ys, zs), &self.cell_ids[lo..hi], &mut emit);
             }
-            if count {
-                for l in links.iter() {
-                    if prev_ids.binary_search(&l.0).is_ok() {
-                        reused += 1;
-                    } else {
-                        recomputed += 1;
-                    }
-                }
-            }
-        }
-        if count {
-            SWEEP_EDGES_REUSED.add(reused);
-            SWEEP_EDGES_RECOMPUTED.add(recomputed);
         }
     }
 
@@ -1047,201 +806,6 @@ impl<'a> TimeSweep<'a> {
             self.aircraft.len()
         };
     }
-
-    /// Match the previous step's link sets against the refreshed ones,
-    /// producing block-local (old position, new position) pairs that
-    /// [`TimeSweep::assemble_delta`] offsets into per-mode edge ids.
-    ///
-    /// Static ground points pair links by satellite id (unique per
-    /// ground point); ISLs pair by position in the fixed `ctx.isls`
-    /// order via the presence flags. Aircraft pair by satellite id too
-    /// whenever the census survived the step unchanged (stable node
-    /// ids); a census change (takeoff / landing reorders the node tail)
-    /// falls back to the wholesale removed + added diff.
-    // lint: hot-path
-    fn compute_link_matches(&mut self) {
-        self.isl_matched.clear();
-        self.isl_removed.clear();
-        self.isl_added.clear();
-        let (mut oc, mut nc) = (0u32, 0u32);
-        if self.needs_isls {
-            for i in 0..self.ctx.isls.len() {
-                match (self.prev_isl_present[i], self.isl_present[i]) {
-                    (true, true) => {
-                        self.isl_matched.push((oc, nc));
-                        oc += 1;
-                        nc += 1;
-                    }
-                    (true, false) => {
-                        self.isl_removed.push(oc);
-                        oc += 1;
-                    }
-                    (false, true) => {
-                        self.isl_added.push(nc);
-                        nc += 1;
-                    }
-                    (false, false) => {}
-                }
-            }
-        }
-        self.prev_isl_count = oc;
-        for gi in 0..self.static_ground.len() {
-            match_link_block(
-                &self.prev_static_ids[gi],
-                &self.static_links[gi],
-                &mut self.gi_matched[gi],
-                &mut self.gi_removed[gi],
-                &mut self.gi_added[gi],
-                &mut self.match_sorted,
-                &mut self.match_consumed,
-            );
-        }
-        self.air_census_stable = self.prev_air_ids.len() == self.aircraft.len()
-            && self
-                .aircraft
-                .iter()
-                .zip(&self.prev_air_ids)
-                .all(|(a, &id)| a.id == id);
-        if self.air_census_stable {
-            if self.air_matched.len() < self.aircraft.len() {
-                // lint: allow(hot-path-alloc) grows once per new peak aircraft count, then recycled
-                self.air_matched.resize_with(self.aircraft.len(), Vec::new);
-                // lint: allow(hot-path-alloc) grows once per new peak aircraft count, then recycled
-                self.air_removed.resize_with(self.aircraft.len(), Vec::new);
-                // lint: allow(hot-path-alloc) grows once per new peak aircraft count, then recycled
-                self.air_added.resize_with(self.aircraft.len(), Vec::new);
-            }
-            for ai in 0..self.aircraft.len() {
-                match_link_block(
-                    &self.prev_air_sat_ids[ai],
-                    &self.air_links[ai],
-                    &mut self.air_matched[ai],
-                    &mut self.air_removed[ai],
-                    &mut self.air_added[ai],
-                    &mut self.match_sorted,
-                    &mut self.match_consumed,
-                );
-            }
-        }
-    }
-
-    /// Offset the block-local matches into mode `mi`'s edge-id space,
-    /// mirroring [`TimeSweep::assemble_mode`]'s emission order exactly:
-    /// the ISL block first (modes with ISLs), then each ground point's
-    /// links in ground order, then aircraft links (modes with aircraft).
-    // lint: hot-path
-    fn assemble_delta(&mut self, mi: usize) {
-        let mode = self.modes[mi];
-        let num_nodes = self.snapshots[mi].nodes.len();
-        let d = &mut self.deltas[mi];
-        d.num_nodes = num_nodes;
-        d.added.clear();
-        d.removed.clear();
-        d.reweighted.clear();
-        d.full = !self.delta_ready;
-        if d.full {
-            return;
-        }
-        let (mut ob, mut nb) = (0u32, 0u32);
-        if mode != Mode::BpOnly {
-            for &(o, n) in &self.isl_matched {
-                d.reweighted.push((o as EdgeId, n as EdgeId));
-            }
-            for &o in &self.isl_removed {
-                d.removed.push(o as EdgeId);
-            }
-            for &n in &self.isl_added {
-                d.added.push(n as EdgeId);
-            }
-            ob = self.prev_isl_count;
-            nb = self.isl_links.len() as u32;
-        }
-        let num_ground_static = if mode == Mode::IslOnly {
-            self.ctx.city_positions.len()
-        } else {
-            self.static_ground.len()
-        };
-        for gi in 0..num_ground_static {
-            for &(op, np) in &self.gi_matched[gi] {
-                d.reweighted
-                    .push(((ob + op) as EdgeId, (nb + np) as EdgeId));
-            }
-            for &op in &self.gi_removed[gi] {
-                d.removed.push((ob + op) as EdgeId);
-            }
-            for &np in &self.gi_added[gi] {
-                d.added.push((nb + np) as EdgeId);
-            }
-            ob += self.prev_static_ids[gi].len() as u32;
-            nb += self.static_links[gi].len() as u32;
-        }
-        if mode != Mode::IslOnly {
-            if self.air_census_stable {
-                for ai in 0..self.aircraft.len() {
-                    for &(op, np) in &self.air_matched[ai] {
-                        d.reweighted.push((ob + op, nb + np));
-                    }
-                    for &op in &self.air_removed[ai] {
-                        d.removed.push(ob + op);
-                    }
-                    for &np in &self.air_added[ai] {
-                        d.added.push(nb + np);
-                    }
-                    ob += self.prev_air_sat_ids[ai].len() as u32;
-                    nb += self.air_links[ai].len() as u32;
-                }
-            } else {
-                for k in 0..self.prev_air_total as u32 {
-                    d.removed.push(ob + k);
-                }
-                let new_air_total: usize = (0..self.aircraft.len())
-                    .map(|ai| self.air_links[ai].len())
-                    .sum();
-                for k in 0..new_air_total as u32 {
-                    d.added.push(nb + k);
-                }
-            }
-        }
-    }
-}
-
-/// Pair one link block's previous visible-satellite ids against its
-/// refreshed links by satellite id (unique within a block), producing
-/// block-local (old position, new position) matches plus old-only /
-/// new-only position lists. `sorted` / `consumed` are recycled scratch.
-// lint: hot-path
-fn match_link_block(
-    old: &[u32],
-    new_links: &[(u32, f64, f64)],
-    matched: &mut Vec<(u32, u32)>,
-    removed: &mut Vec<u32>,
-    added: &mut Vec<u32>,
-    sorted: &mut Vec<(u32, u32)>,
-    consumed: &mut Vec<bool>,
-) {
-    matched.clear();
-    removed.clear();
-    added.clear();
-    sorted.clear();
-    sorted.extend(old.iter().enumerate().map(|(p, &sat)| (sat, p as u32)));
-    sorted.sort_unstable();
-    consumed.clear();
-    consumed.resize(sorted.len(), false);
-    for (np, l) in new_links.iter().enumerate() {
-        match sorted.binary_search_by_key(&l.0, |&(s, _)| s) {
-            Ok(k) => {
-                consumed[k] = true;
-                matched.push((sorted[k].1, np as u32));
-            }
-            Err(_) => added.push(np as u32),
-        }
-    }
-    for (k, &(_, op)) in sorted.iter().enumerate() {
-        if !consumed[k] {
-            removed.push(op);
-        }
-    }
-    removed.sort_unstable();
 }
 
 /// The network frozen at one instant: a weighted graph plus metadata.
@@ -1549,35 +1113,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_times_and_grid_sweep_agree() {
-        let c = ctx();
-        let modes = [Mode::Hybrid];
-        let times = [100.0, 550.0, 1000.0];
-        let mut from_times: Vec<usize> = Vec::new();
-        let mut edges_times: Vec<usize> = Vec::new();
-        c.sweep_times(&times, &modes, |i, snaps| {
-            from_times.push(i);
-            edges_times.push(snaps[0].graph.num_edges());
-        });
-        let mut from_grid: Vec<usize> = Vec::new();
-        let mut edges_grid: Vec<usize> = Vec::new();
-        c.sweep(100.0, 450.0, 3, &modes, |i, snaps| {
-            from_grid.push(i);
-            edges_grid.push(snaps[0].graph.num_edges());
-        });
-        assert_eq!(from_times, vec![0, 1, 2]);
-        assert_eq!(from_times, from_grid);
-        assert_eq!(edges_times, edges_grid);
-    }
-
-    #[test]
     fn sweep_deltas_replay_reconstructs_edge_sets() {
         // Core delta contract: per mode, the old edge ids partition into
         // `removed` ∪ {o | (o, n) ∈ reweighted}, the new edge ids into
         // `added` ∪ {n | (o, n) ∈ reweighted}, and every reweighted pair
-        // refers to the *same physical link* — identical endpoint node
-        // ids in old and new graph (stable because aircraft, the only
-        // nodes whose ids shift, are always wholesale removed+added).
+        // refers to the same `(u, v)` endpoint node ids in old and new
+        // graph.
         let c = ctx();
         let modes = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
         let times = [0.0, 15.0, 90.0, 947.3, 1000.0, 30_000.0];
@@ -1618,10 +1159,9 @@ mod tests {
                     }
                     assert!(old_seen.iter().all(|&s| s), "old edge unaccounted");
                     assert!(new_seen.iter().all(|&s| s), "new edge unaccounted");
-                    // Small steps must be dominated by reweights — the
-                    // whole point of the delta path. Modes with aircraft
-                    // churn those links wholesale (the aircraft move, so
-                    // node ids shift), so only IslOnly pins dominance.
+                    // Small steps must be dominated by reweights. Modes
+                    // with aircraft see those node ids shift whenever the
+                    // census changes, so only IslOnly pins dominance.
                     if t - times[step - 1] < 100.0 {
                         assert!(!d.reweighted.is_empty(), "t={t} mode #{mi}: no reweights");
                         if modes[mi] == Mode::IslOnly {
@@ -1646,35 +1186,34 @@ mod tests {
     }
 
     #[test]
-    fn sweep_fold_deltas_is_thread_count_invariant() {
-        // Chunk boundaries reset delta tracking (each chunk's first step
-        // is a `full` delta), but folding with a full-rebuild-aware step
-        // function must still be chunking-invariant.
+    fn step_with_deltas_diffs_against_a_plain_step() {
+        // The delta is a diff of the graph being replaced, so a plain
+        // `step` in between is what the next delta is taken against.
         let c = ctx();
-        let modes = [Mode::Hybrid];
-        let times: Vec<f64> = (0..7).map(|i| i as f64 * 137.0).collect();
-        let fold = |threads: usize| -> (u64, usize) {
-            c.sweep_fold_deltas(
-                &times,
-                &modes,
-                threads,
-                || (0u64, 0usize),
-                |acc, i, snaps, deltas| {
-                    assert_eq!(deltas.len(), 1);
-                    acc.0 ^= (snaps[0].graph.num_edges() as u64).wrapping_mul(0x9e37 + i as u64);
-                    acc.1 += 1;
-                },
-                |a, b| {
-                    a.0 ^= b.0;
-                    a.1 += b.1;
-                },
-            )
-        };
-        let one = fold(1);
-        assert_eq!(one.1, times.len(), "every snapshot folded exactly once");
-        assert_eq!(one, fold(3));
-        assert_eq!(one, fold(7));
-        assert_eq!(one, fold(0));
+        let modes = [Mode::BpOnly, Mode::Hybrid];
+        let mut sweep = TimeSweep::new(&c, &modes);
+        let old: Vec<Vec<(NodeId, NodeId)>> = sweep
+            .step(0.0)
+            .iter()
+            .map(|s| {
+                (0..s.graph.num_edges() as EdgeId)
+                    .map(|e| {
+                        let (u, v, _) = s.graph.edge(e);
+                        (u, v)
+                    })
+                    .collect()
+            })
+            .collect();
+        let (snaps, deltas) = sweep.step_with_deltas(15.0);
+        for ((snap, d), old) in snaps.iter().zip(deltas).zip(&old) {
+            assert!(!d.full);
+            assert_eq!(d.removed.len() + d.reweighted.len(), old.len());
+            assert_eq!(d.added.len() + d.reweighted.len(), snap.graph.num_edges());
+            for &(o, n) in &d.reweighted {
+                let (u, v, _) = snap.graph.edge(n);
+                assert_eq!(old[o as usize], (u, v));
+            }
+        }
     }
 
     #[test]

@@ -48,10 +48,10 @@ pub use disjoint::{
     k_edge_disjoint_paths, k_edge_disjoint_paths_contracted, k_edge_disjoint_paths_with,
 };
 pub use graph::{EdgeId, Graph, GraphBuilder, NodeId};
-pub use maxflow::{max_flow, max_flow_with, FlowNetwork, MaxFlowWorkspace};
+pub use maxflow::{max_flow, FlowNetwork};
 pub use shortest::{
     dijkstra, dijkstra_with_mask, extract_path, with_thread_workspace, DijkstraWorkspace, Path,
-    ShortestPaths, SptWorkspace, SsspView,
+    ShortestPaths, SsspView,
 };
 pub use suurballe::{suurballe, suurballe_with};
 pub use yen::{yen_k_shortest, yen_k_shortest_with};

@@ -69,72 +69,42 @@ impl FlowNetwork {
     }
 }
 
-/// Reusable buffers for [`max_flow_with`], in the same spirit as
-/// `DijkstraWorkspace`: create once, feed to every call, and the BFS
-/// level array, DFS arc cursors, and BFS queue stop being per-call
-/// allocations. Buffers grow monotonically to the largest network seen.
-#[derive(Debug, Default)]
-pub struct MaxFlowWorkspace {
-    /// BFS level per node (−1 = unreached).
-    level: Vec<i32>,
-    /// Current-arc DFS cursor per node.
-    it: Vec<u32>,
-    /// BFS queue.
-    queue: std::collections::VecDeque<u32>,
-}
-
-impl MaxFlowWorkspace {
-    /// An empty workspace (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Compute the maximum flow from `s` to `t`, consuming the network's
 /// residual capacities.
-///
-/// Allocates fresh scratch per call; hot loops should hold a
-/// [`MaxFlowWorkspace`] and call [`max_flow_with`] instead.
 pub fn max_flow(net: &mut FlowNetwork, s: u32, t: u32) -> f64 {
-    max_flow_with(net, s, t, &mut MaxFlowWorkspace::new())
-}
-
-/// [`max_flow`] with caller-provided scratch buffers. Identical results;
-/// zero allocation once the workspace has grown to the network size.
-// lint: hot-path
-pub fn max_flow_with(net: &mut FlowNetwork, s: u32, t: u32, ws: &mut MaxFlowWorkspace) -> f64 {
     // lint: allow(panic-reachable) degenerate query: max flow from a node to itself is rejected by contract
     assert_ne!(s, t);
     let n = net.num_nodes();
     let mut total = 0.0;
-    ws.level.resize(n, -1);
-    ws.it.resize(n, u32::MAX);
+    // BFS level per node (−1 = unreached), current-arc DFS cursor per
+    // node, and the BFS queue.
+    let mut level = vec![-1i32; n];
+    let mut it = vec![u32::MAX; n];
+    let mut queue = std::collections::VecDeque::new();
     loop {
         // BFS to build the level graph.
-        for l in ws.level[..n].iter_mut() {
-            *l = -1;
-        }
-        ws.level[s as usize] = 0;
-        ws.queue.clear();
-        ws.queue.push_back(s);
-        while let Some(u) = ws.queue.pop_front() {
+        level.fill(-1);
+        level[s as usize] = 0;
+        queue.clear();
+        queue.push_back(s);
+        while let Some(u) = queue.pop_front() {
             let mut a = net.head[u as usize];
             while a != u32::MAX {
                 let v = net.to[a as usize];
-                if net.cap[a as usize] > FlowNetwork::EPS && ws.level[v as usize] < 0 {
-                    ws.level[v as usize] = ws.level[u as usize] + 1;
-                    ws.queue.push_back(v);
+                if net.cap[a as usize] > FlowNetwork::EPS && level[v as usize] < 0 {
+                    level[v as usize] = level[u as usize] + 1;
+                    queue.push_back(v);
                 }
                 a = net.next[a as usize];
             }
         }
-        if ws.level[t as usize] < 0 {
+        if level[t as usize] < 0 {
             break;
         }
-        ws.it[..n].copy_from_slice(&net.head);
+        it.copy_from_slice(&net.head);
         // DFS blocking flow.
         loop {
-            let pushed = dfs(net, s, t, f64::INFINITY, &ws.level[..n], &mut ws.it[..n]);
+            let pushed = dfs(net, s, t, f64::INFINITY, &level, &mut it);
             if pushed <= FlowNetwork::EPS {
                 break;
             }
@@ -224,42 +194,6 @@ mod tests {
         net.add_directed(2, 3, 4.0);
         net.add_directed(3, t, 5.0);
         assert!((max_flow(&mut net, s, t) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn workspace_reuse_matches_fresh_across_sizes() {
-        // One workspace reused across networks of different sizes must
-        // give the same flows as fresh per-call scratch.
-        let mut ws = MaxFlowWorkspace::new();
-        let build_small = || {
-            let mut net = FlowNetwork::new(4);
-            net.add_directed(0, 1, 3.0);
-            net.add_directed(0, 2, 2.0);
-            net.add_directed(1, 3, 2.0);
-            net.add_directed(2, 3, 3.0);
-            net.add_directed(1, 2, 5.0);
-            net
-        };
-        let build_big = || {
-            let mut net = FlowNetwork::new(10);
-            for i in 0..9u32 {
-                net.add_directed(i, i + 1, 1.0 + i as f64 * 0.25);
-            }
-            net.add_directed(0, 5, 0.5);
-            net
-        };
-        for _ in 0..3 {
-            let (mut a, mut b) = (build_small(), build_small());
-            assert_eq!(
-                max_flow_with(&mut a, 0, 3, &mut ws).to_bits(),
-                max_flow(&mut b, 0, 3).to_bits()
-            );
-            let (mut a, mut b) = (build_big(), build_big());
-            assert_eq!(
-                max_flow_with(&mut a, 0, 9, &mut ws).to_bits(),
-                max_flow(&mut b, 0, 9).to_bits()
-            );
-        }
     }
 
     #[test]

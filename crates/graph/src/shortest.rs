@@ -27,17 +27,6 @@ static WORKSPACE_REUSES: Counter = Counter::new("workspace_reuses");
 /// [`DijkstraWorkspace::contracted_path`] queries answered on the full
 /// graph instead of the core graph.
 static CONTRACT_FALLBACKS: Counter = Counter::new("contract_fallbacks");
-/// Telemetry: incremental [`SptWorkspace::apply`] repairs.
-static SPT_REPAIRS: Counter = Counter::new("spt_repairs");
-/// Telemetry: full [`SptWorkspace::rebuild`] runs (chunk starts and any
-/// caller-decided fallback from the incremental path).
-static SPT_FULL_FALLBACKS: Counter = Counter::new("spt_full_fallbacks");
-/// Telemetry: delta entries (removed + reweighted) consumed by
-/// [`SptWorkspace::apply`].
-static DELTA_EDGES_APPLIED: Counter = Counter::new("delta_edges_applied");
-/// Telemetry: [`SptWorkspace::apply_for_targets`] repairs that stopped
-/// the Dial drain early because every queried target had settled.
-static SPT_EARLY_EXITS: Counter = Counter::new("spt_early_exits");
 
 /// Result of a single-source Dijkstra run.
 #[derive(Debug, Clone)]
@@ -726,495 +715,6 @@ pub fn dijkstra_with_mask(
         .to_shortest_paths()
 }
 
-/// A shortest-path **tree** maintained incrementally across graph
-/// versions.
-///
-/// Where [`DijkstraWorkspace`] answers one-shot queries, an
-/// `SptWorkspace` keeps the full tree of one source alive while the
-/// graph evolves (a `TimeSweep`-style edge delta per step:
-/// added / removed / reweighted edges with remapped ids), repairing it
-/// in place instead of re-running Dijkstra from scratch:
-///
-/// 1. **Re-anchor** — walk every old tree path root→leaf and recompute
-///    its distance fold with the *new* weights (a removed or unmapped
-///    parent edge cuts the subtree to `INFINITY`). Every finite value
-///    produced is the fold of a real path in the new graph, so it is a
-///    valid upper bound on the new distance.
-/// 2. **Fixpoint repair** — one scan over all new edges seeds a
-///    label-correcting worklist with every violated bound (this is
-///    where added edges enter); the worklist then relaxes to the unique
-///    fixpoint. Because f64 addition is monotone, that fixpoint is
-///    exactly `min` over all paths of the left-fold sum — the same
-///    value, bit for bit, that a fresh Dijkstra computes.
-/// 3. **Canonical parents** — recompute `parent[v]` as the candidate
-///    `u` minimizing `(dist[u], u)` among neighbors with
-///    `dist[u] + w == dist[v]` exactly and `(dist[u], u) < (dist[v], v)`
-///    lexicographically, breaking ties among parallel edges by lowest
-///    edge id. For strictly positive weights this is precisely the
-///    parent a fresh [`dijkstra`] run assigns (its settle order *is*
-///    the lexicographic order on `(dist, node)`), so repaired parents —
-///    and therefore extracted paths — are bit-identical to a fresh run.
-///
-/// **Equivalence contract**: after `rebuild` or `apply`, `dists()` is
-/// bitwise equal to a fresh [`dijkstra`] from the same source on the
-/// same graph, and for graphs with strictly positive weights (every
-/// snapshot graph: weights are propagation delays) `parent_nodes()` /
-/// `parent_edges()` are bitwise equal too. The property suite in
-/// `tests/sweep.rs` enforces this over thousands of random sweep steps.
-///
-/// Zero-weight edges keep distances exact but void the deterministic
-/// parent guarantee (the canonical rule can fail to find a candidate;
-/// `extract_path` then returns `None` rather than a wrong path).
-///
-/// Correctness does **not** depend on the delta being complete: an old
-/// edge missing from `reweighted` merely loses its bound (treated as
-/// removed), costing repair work, never accuracy — phase 2 always
-/// converges on the true new-graph fixpoint.
-#[derive(Debug, Default)]
-pub struct SptWorkspace {
-    source: NodeId,
-    dist: Vec<f64>,
-    parent_edge: Vec<EdgeId>,
-    parent_node: Vec<NodeId>,
-    /// Old-edge-id → new-edge-id scratch (`EdgeId::MAX` = removed).
-    old_to_new: Vec<EdgeId>,
-    /// Per-node "anchored this round" scratch (doubles as `settled` in
-    /// [`SptWorkspace::rebuild`]).
-    done: Vec<bool>,
-    /// Parent-chain walk scratch for the re-anchor phase (doubles as
-    /// the dirty list while seeding phase 2).
-    stack: Vec<NodeId>,
-    /// Dial-style bucket queue for phase-2 relaxation.
-    buckets: Vec<Vec<(f64, NodeId)>>,
-    heap: BinaryHeap<HeapItem>,
-    ready: bool,
-}
-
-impl SptWorkspace {
-    /// An empty workspace; buffers grow on first [`SptWorkspace::rebuild`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True once a tree has been built (i.e. `rebuild` ran at least once).
-    pub fn is_ready(&self) -> bool {
-        self.ready
-    }
-
-    /// Source node of the maintained tree.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// Node count of the tree's current graph version.
-    pub fn num_nodes(&self) -> usize {
-        self.dist.len()
-    }
-
-    /// Shortest distance to `v` (`INFINITY` if unreached or out of range).
-    pub fn dist(&self, v: NodeId) -> f64 {
-        self.dist.get(v as usize).copied().unwrap_or(f64::INFINITY)
-    }
-
-    /// Per-node distances (`INFINITY` where unreached).
-    pub fn dists(&self) -> &[f64] {
-        &self.dist
-    }
-
-    /// Per-node parent edge ids (`EdgeId::MAX` for source / unreached).
-    pub fn parent_edges(&self) -> &[EdgeId] {
-        &self.parent_edge
-    }
-
-    /// Per-node parent nodes (`NodeId::MAX` for source / unreached).
-    pub fn parent_nodes(&self) -> &[NodeId] {
-        &self.parent_node
-    }
-
-    /// Build the tree from scratch with a full Dijkstra run.
-    ///
-    /// Also the fallback when a delta arrives with `full = true` (chunk
-    /// starts, or a consumer that lost delta continuity).
-    pub fn rebuild(&mut self, g: &Graph, source: NodeId) {
-        let n = g.num_nodes();
-        // Release builds bounds-check the same invariant at `dist[si]`.
-        debug_assert!((source as usize) < n, "source out of range");
-        SPT_FULL_FALLBACKS.add(1);
-        self.source = source;
-        self.dist.clear();
-        // lint: allow(hot-path-alloc) clear+resize reuses capacity; allocates only on a new peak node count
-        self.dist.resize(n, f64::INFINITY);
-        self.done.clear();
-        // lint: allow(hot-path-alloc) clear+resize reuses capacity; allocates only on a new peak node count
-        self.done.resize(n, false);
-        self.heap.clear();
-        let si = source as usize;
-        self.dist[si] = 0.0;
-        self.heap.push(HeapItem {
-            dist: 0.0,
-            node: source,
-        });
-        while let Some(HeapItem { dist: d, node: u }) = self.heap.pop() {
-            let ui = u as usize;
-            if self.done[ui] {
-                continue;
-            }
-            self.done[ui] = true;
-            for h in g.neighbors(u) {
-                let nd = d + h.weight;
-                let vi = h.to as usize;
-                if nd < self.dist[vi] {
-                    self.dist[vi] = nd;
-                    self.heap.push(HeapItem {
-                        dist: nd,
-                        node: h.to,
-                    });
-                }
-            }
-        }
-        self.recompute_parents(g);
-        self.ready = true;
-    }
-
-    /// Repair the tree after the graph stepped to a new version.
-    ///
-    /// `removed` lists old edge ids that no longer exist; `reweighted`
-    /// maps persisted edges `(old id, new id)` whose endpoints are
-    /// unchanged but whose weight (and id) may have — every surviving
-    /// old edge must appear in exactly one of the two. Added edges need
-    /// no listing: the seeding scan in phase 2 discovers them. `g` is
-    /// the **new** graph; its node count may differ from the previous
-    /// version (the stable node prefix keeps its ids; tail nodes that
-    /// vanished must have had their edges removed).
-    pub fn apply(&mut self, g: &Graph, removed: &[EdgeId], reweighted: &[(EdgeId, EdgeId)]) {
-        self.apply_impl(g, removed, reweighted, None);
-    }
-
-    /// [`SptWorkspace::apply`] when only `targets` will be queried: the
-    /// Dial-bucket drain stops as soon as every target's label settles
-    /// below the next bucket floor, instead of relaxing the whole graph
-    /// to the fixpoint.
-    ///
-    /// Contract: for every target, `dist` and `extract_path` are
-    /// **bitwise identical** to a full [`SptWorkspace::apply`] (and so
-    /// to fresh [`dijkstra`]). The argument: after draining bucket `bi`,
-    /// every pending queue entry carries a label `≥ (bi + 1) · width`,
-    /// and positive weights only push labels up — so any node whose
-    /// label sits strictly below that floor is final. Settled nodes'
-    /// canonical parents also settle first (`du < dv`), so target parent
-    /// chains are final too. Non-target state is *not* preserved:
-    /// labels at or above the stop floor are discarded to `INFINITY` /
-    /// `NodeId::MAX` parents, exactly the shape of an unreached node, so
-    /// a later `apply`/`apply_for_targets` on this workspace re-anchors
-    /// the kept prefix and re-discovers the rest from the seed scan —
-    /// correctness never depends on how early a previous repair stopped.
-    /// A target unreached in the new graph keeps an `INFINITY` label and
-    /// therefore never satisfies the exit test; such repairs degrade to
-    /// the full drain.
-    pub fn apply_for_targets(
-        &mut self,
-        g: &Graph,
-        removed: &[EdgeId],
-        reweighted: &[(EdgeId, EdgeId)],
-        targets: &[NodeId],
-    ) {
-        self.apply_impl(g, removed, reweighted, Some(targets));
-    }
-
-    // lint: hot-path
-    fn apply_impl(
-        &mut self,
-        g: &Graph,
-        removed: &[EdgeId],
-        reweighted: &[(EdgeId, EdgeId)],
-        targets: Option<&[NodeId]>,
-    ) {
-        // lint: allow(panic-reachable) API misuse trap: apply without a prior rebuild would repair an empty tree into garbage paths
-        assert!(self.ready, "SptWorkspace::apply before rebuild");
-        let n = g.num_nodes();
-        let src = self.source as usize;
-        // Release builds bounds-check the same invariant at `dist[src]`.
-        debug_assert!(src < n, "source dropped by the new graph version");
-        SPT_REPAIRS.add(1);
-        DELTA_EDGES_APPLIED.add((removed.len() + reweighted.len()) as u64);
-        if self.buckets.is_empty() {
-            // lint: allow(hot-path-alloc) one-time growth to the fixed bucket count, then recycled
-            self.buckets.resize_with(1024, Vec::new);
-        }
-
-        // Old-id → new-id map. Ids absent from `reweighted` (including
-        // everything in `removed`) stay MAX = gone.
-        let max_old = reweighted
-            .iter()
-            .map(|&(o, _)| o)
-            .chain(removed.iter().copied())
-            .max()
-            .map_or(0, |m| m as usize + 1);
-        self.old_to_new.clear();
-        self.old_to_new.resize(max_old, EdgeId::MAX);
-        for &(o, ne) in reweighted {
-            self.old_to_new[o as usize] = ne;
-        }
-
-        let old_n = self.dist.len();
-        if n > old_n {
-            self.dist.resize(n, f64::INFINITY);
-            self.parent_edge.resize(n, EdgeId::MAX);
-            self.parent_node.resize(n, NodeId::MAX);
-        } else if n < old_n {
-            self.dist.truncate(n);
-            self.parent_edge.truncate(n);
-            self.parent_node.truncate(n);
-        }
-
-        // Phase 1: re-anchor — overwrite `dist` with the fold of each
-        // old tree path under the new weights, root before leaf.
-        self.done.clear();
-        self.done.resize(n, false);
-        self.dist[src] = 0.0;
-        self.done[src] = true;
-        for v0 in 0..n as NodeId {
-            if self.done[v0 as usize] {
-                continue;
-            }
-            self.stack.clear();
-            let mut cur = v0;
-            while !self.done[cur as usize] {
-                self.stack.push(cur);
-                let pn = self.parent_node[cur as usize];
-                if pn == NodeId::MAX || (pn as usize) >= n || self.stack.len() > n {
-                    // Chain root (unreached / stale-tail parent), or a
-                    // defensively-broken cycle: the unwind below
-                    // resolves every stacked node to INFINITY or to a
-                    // valid fold off its (now `done`) parent.
-                    debug_assert!(self.stack.len() <= n, "cycle in parent chain");
-                    break;
-                }
-                cur = pn;
-            }
-            while let Some(v) = self.stack.pop() {
-                let vi = v as usize;
-                let pn = self.parent_node[vi];
-                let pe = self.parent_edge[vi];
-                let mut nd = f64::INFINITY;
-                if pn != NodeId::MAX && (pn as usize) < n && self.done[pn as usize] {
-                    let ne = self
-                        .old_to_new
-                        .get(pe as usize)
-                        .copied()
-                        .unwrap_or(EdgeId::MAX);
-                    if ne != EdgeId::MAX {
-                        let pd = self.dist[pn as usize];
-                        if pd.is_finite() {
-                            let (a, b, w) = g.edge(ne);
-                            debug_assert!(
-                                (a == pn && b == v) || (a == v && b == pn),
-                                "reweighted pair changed endpoints"
-                            );
-                            debug_assert!(w > 0.0, "SPT repair requires positive weights");
-                            nd = pd + w;
-                        }
-                    }
-                }
-                self.dist[vi] = nd;
-                self.done[vi] = true;
-            }
-        }
-
-        // Phase 2: seed a label-correcting worklist from every edge
-        // whose bound is violated (added edges surface here), then
-        // relax to the unique fixpoint = fresh-Dijkstra distances.
-        self.heap.clear();
-        self.stack.clear();
-        for e in 0..g.num_edges() as EdgeId {
-            let (u, v, w) = g.edge(e);
-            let (ui, vi) = (u as usize, v as usize);
-            let nd = self.dist[ui] + w;
-            if nd < self.dist[vi] {
-                self.dist[vi] = nd;
-                if self.done[vi] {
-                    self.done[vi] = false;
-                    self.stack.push(v);
-                }
-            }
-            let nd = self.dist[vi] + w;
-            if nd < self.dist[ui] {
-                self.dist[ui] = nd;
-                if self.done[ui] {
-                    self.done[ui] = false;
-                    self.stack.push(u);
-                }
-            }
-        }
-        // Relax to the fixpoint through a two-level queue: coarse
-        // Dial-style buckets defer far entries, and each bucket drains
-        // through the binary heap (exact order, lazy stale skips). The
-        // fixpoint is processing-order independent (see the type docs),
-        // so the bucketing only bounds reprocessing — it never changes
-        // the result. When edge weights exceed the bucket width (the
-        // common constellation case) every relaxation lands in a later
-        // bucket and the heap stays near-empty; the heap exists so
-        // sub-width edges still drain in exact ascending order instead
-        // of degenerating into within-bucket Bellman-Ford churn. An
-        // improvement made while draining bucket `bi` lands in a later
-        // bucket or back on the heap, so one ascending pass is
-        // lossless.
-        let mut max_d: f64 = 0.0;
-        for &d in &self.dist {
-            if d.is_finite() && d > max_d {
-                max_d = d;
-            }
-        }
-        let nb = self.buckets.len();
-        let width = if max_d > 0.0 {
-            // Finite bounds cap every final distance; the margin keeps
-            // late-attaching orphan chains out of the clamped tail.
-            max_d * 1.0625 / (nb - 1) as f64
-        } else {
-            1.0
-        };
-        let bucket_of = |d: f64| ((d / width) as usize).min(nb - 1);
-        while let Some(v) = self.stack.pop() {
-            let d = self.dist[v as usize];
-            self.buckets[bucket_of(d)].push((d, v));
-        }
-        self.heap.clear();
-        let mut stop_floor = f64::INFINITY;
-        for bi in 0..nb {
-            while let Some(&(d, v)) = self.buckets[bi].last() {
-                self.buckets[bi].pop();
-                self.heap.push(HeapItem { dist: d, node: v });
-            }
-            while let Some(HeapItem { dist: d, node: u }) = self.heap.pop() {
-                let ui = u as usize;
-                if d > self.dist[ui] {
-                    continue; // stale entry; a tighter bound was queued later
-                }
-                for h in g.neighbors(u) {
-                    let nd = d + h.weight;
-                    let vi = h.to as usize;
-                    if nd < self.dist[vi] {
-                        self.dist[vi] = nd;
-                        let tb = bucket_of(nd);
-                        if tb <= bi {
-                            self.heap.push(HeapItem {
-                                dist: nd,
-                                node: h.to,
-                            });
-                        } else {
-                            self.buckets[tb].push((nd, h.to));
-                        }
-                    }
-                }
-            }
-            if let Some(ts) = targets {
-                // Tighten the floor by a relative margin that dwarfs the
-                // `bucket_of` division rounding (~2⁻⁵²): an entry can be
-                // misbucketed upward by at most an ulp, so requiring
-                // labels strictly below the *tightened* floor keeps the
-                // finality argument exact even at bucket boundaries.
-                let floor = (bi + 1) as f64 * width * (1.0 - 1e-9);
-                if ts
-                    .iter()
-                    .all(|&t| self.dist.get(t as usize).is_some_and(|&d| d < floor))
-                {
-                    SPT_EARLY_EXITS.add(1);
-                    stop_floor = floor;
-                    for b in &mut self.buckets[bi + 1..] {
-                        b.clear();
-                    }
-                    break;
-                }
-            }
-        }
-        if stop_floor.is_finite() {
-            // Labels at or above the stop floor never finished relaxing;
-            // reset them to the unreached shape so later repairs (and
-            // `recompute_parents` below) never see a half-settled label.
-            for d in &mut self.dist {
-                if *d >= stop_floor {
-                    *d = f64::INFINITY;
-                }
-            }
-        }
-
-        self.recompute_parents(g);
-    }
-
-    /// Phase 3: canonical parent assignment (see the type docs for why
-    /// this reproduces fresh-Dijkstra parents bit for bit).
-    fn recompute_parents(&mut self, g: &Graph) {
-        let n = g.num_nodes();
-        self.parent_edge.clear();
-        // lint: allow(hot-path-alloc) clear+resize reuses capacity; allocates only on a new peak node count
-        self.parent_edge.resize(n, EdgeId::MAX);
-        self.parent_node.clear();
-        // lint: allow(hot-path-alloc) clear+resize reuses capacity; allocates only on a new peak node count
-        self.parent_node.resize(n, NodeId::MAX);
-        let src = self.source;
-        for v in 0..n as NodeId {
-            let dv = self.dist[v as usize];
-            if v == src || !dv.is_finite() {
-                continue;
-            }
-            let mut best_d = f64::INFINITY;
-            let mut best_u = NodeId::MAX;
-            let mut best_e = EdgeId::MAX;
-            for h in g.neighbors(v) {
-                let du = self.dist[h.to as usize];
-                // Exact candidates that settle before `v` in a fresh
-                // run: (du, u) < (dv, v) lexicographically. Parallel
-                // edges tie-break by lowest id for free — the CSR slice
-                // is in increasing edge-id order and replacement below
-                // is strict.
-                if du + h.weight == dv
-                    && (du < dv || (du == dv && h.to < v))
-                    && (du < best_d || (du == best_d && h.to < best_u))
-                {
-                    best_d = du;
-                    best_u = h.to;
-                    best_e = h.edge;
-                }
-            }
-            debug_assert!(
-                best_e != EdgeId::MAX,
-                "no canonical parent for a reached node (zero-weight edges?)"
-            );
-            self.parent_edge[v as usize] = best_e;
-            self.parent_node[v as usize] = best_u;
-        }
-    }
-
-    /// Extract the tree path to `target`, or `None` if unreached.
-    pub fn extract_path(&self, target: NodeId) -> Option<Path> {
-        let ti = target as usize;
-        if ti >= self.dist.len() || !self.dist[ti].is_finite() {
-            return None;
-        }
-        let mut nodes = vec![target];
-        let mut edges = Vec::new();
-        let mut v = target;
-        while v != self.source {
-            let e = self.parent_edge[v as usize];
-            let p = self.parent_node[v as usize];
-            if e == EdgeId::MAX || p == NodeId::MAX || nodes.len() > self.dist.len() {
-                debug_assert!(false, "broken parent chain for reached node");
-                return None;
-            }
-            edges.push(e);
-            nodes.push(p);
-            v = p;
-        }
-        nodes.reverse();
-        edges.reverse();
-        Some(Path {
-            nodes,
-            edges,
-            total_weight: self.dist[ti],
-        })
-    }
-}
-
 /// Extract the path from the SSSP tree to `target`, or `None` if
 /// unreached.
 pub fn extract_path(sp: &ShortestPaths, target: NodeId) -> Option<Path> {
@@ -1508,213 +1008,5 @@ mod tests {
         assert_eq!(d, 2.0);
         let runs_after = with_thread_workspace(|ws| ws.runs());
         assert_eq!(runs_after, runs_before + 1);
-    }
-
-    /// Assert the SPT's distances AND parents are bitwise equal to a
-    /// fresh Dijkstra from the same source.
-    fn assert_spt_matches_fresh(spt: &SptWorkspace, g: &Graph, ctx: &str) {
-        let fresh = dijkstra(g, spt.source());
-        assert_eq!(spt.num_nodes(), g.num_nodes(), "{ctx}: node count");
-        for v in 0..g.num_nodes() {
-            assert_eq!(
-                spt.dists()[v].to_bits(),
-                fresh.dist[v].to_bits(),
-                "{ctx}: dist[{v}]"
-            );
-            assert_eq!(
-                spt.parent_nodes()[v],
-                fresh.parent_node[v],
-                "{ctx}: pn[{v}]"
-            );
-            assert_eq!(
-                spt.parent_edges()[v],
-                fresh.parent_edge[v],
-                "{ctx}: pe[{v}]"
-            );
-        }
-    }
-
-    #[test]
-    fn spt_rebuild_matches_fresh_dijkstra() {
-        for g in [small(), two_cliques()] {
-            for s in 0..g.num_nodes() as NodeId {
-                let mut spt = SptWorkspace::new();
-                spt.rebuild(&g, s);
-                assert_spt_matches_fresh(&spt, &g, &format!("rebuild src {s}"));
-            }
-        }
-    }
-
-    #[test]
-    fn spt_apply_reweight_and_membership_churn() {
-        // v0: 0-1 (1.0), 1-2 (1.0), 0-2 (5.0)  → 0-1-2 wins.
-        let g0 = small();
-        let mut spt = SptWorkspace::new();
-        spt.rebuild(&g0, 0);
-        // v1: reweight 1-2 up to 10.0 (old ids keep their slots), so the
-        // direct 0-2 edge wins; all three edges persist.
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 1.5);
-        b.add_edge(1, 2, 10.0);
-        b.add_edge(0, 2, 5.0);
-        let g1 = b.build();
-        spt.apply(&g1, &[], &[(0, 0), (1, 1), (2, 2)]);
-        assert_spt_matches_fresh(&spt, &g1, "reweight");
-        assert_eq!(spt.extract_path(2).unwrap().nodes, vec![0, 2]);
-        // v2: remove the direct edge, add a detour via a new node 3;
-        // surviving edges get fresh ids (0-1 → id 0, 1-2 → id 1).
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 1.5);
-        b.add_edge(1, 2, 10.0);
-        b.add_edge(0, 3, 1.0);
-        b.add_edge(3, 2, 1.0);
-        let g2 = b.build();
-        spt.apply(&g2, &[2], &[(0, 0), (1, 1)]);
-        assert_spt_matches_fresh(&spt, &g2, "remove+add+grow");
-        assert_eq!(spt.extract_path(2).unwrap().nodes, vec![0, 3, 2]);
-        // v3: shrink back to 3 nodes, disconnecting 2 entirely.
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 2.0);
-        let g3 = b.build();
-        spt.apply(&g3, &[1, 2, 3], &[(0, 0)]);
-        assert_spt_matches_fresh(&spt, &g3, "shrink+disconnect");
-        assert!(spt.extract_path(2).is_none());
-    }
-
-    #[test]
-    fn spt_apply_handles_removal_disconnected_subtree() {
-        // Line 0-1-2-3-4; cutting 1-2 strands {2,3,4}.
-        let mut b = GraphBuilder::new(5);
-        for i in 0..4u32 {
-            b.add_edge(i, i + 1, 1.0 + i as f64);
-        }
-        let g0 = b.build();
-        let mut spt = SptWorkspace::new();
-        spt.rebuild(&g0, 0);
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 1, 1.0);
-        b.add_edge(2, 3, 3.0);
-        b.add_edge(3, 4, 4.0);
-        let g1 = b.build();
-        spt.apply(&g1, &[1], &[(0, 0), (2, 1), (3, 2)]);
-        assert_spt_matches_fresh(&spt, &g1, "disconnect");
-        // Reconnect with a *different* topology: 0-4 direct.
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 1, 1.0);
-        b.add_edge(2, 3, 3.0);
-        b.add_edge(3, 4, 4.0);
-        b.add_edge(0, 4, 0.5);
-        let g2 = b.build();
-        spt.apply(&g2, &[], &[(0, 0), (1, 1), (2, 2)]);
-        assert_spt_matches_fresh(&spt, &g2, "reconnect");
-        assert_eq!(spt.extract_path(2).unwrap().nodes, vec![0, 4, 3, 2]);
-    }
-
-    #[test]
-    fn spt_parallel_edges_and_ties_pick_lowest_edge_id() {
-        // Two equal-weight parallel edges 0-1 plus an equal-cost two-hop
-        // alternative through 2: fresh Dijkstra and the repaired tree
-        // must agree on the same deterministic choice.
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 2.0);
-        b.add_edge(0, 1, 2.0);
-        b.add_edge(0, 2, 1.0);
-        b.add_edge(2, 1, 1.0);
-        let g0 = b.build();
-        let mut spt = SptWorkspace::new();
-        spt.rebuild(&g0, 0);
-        assert_spt_matches_fresh(&spt, &g0, "parallel ties rebuild");
-        // Same structure, jittered weights, ids shuffled by an insert.
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 2, 1.0);
-        b.add_edge(0, 1, 2.0);
-        b.add_edge(0, 1, 2.0);
-        b.add_edge(2, 1, 1.0);
-        let g1 = b.build();
-        spt.apply(&g1, &[], &[(0, 1), (1, 2), (2, 0), (3, 3)]);
-        assert_spt_matches_fresh(&spt, &g1, "parallel ties apply");
-    }
-
-    #[test]
-    fn spt_incomplete_delta_still_exact() {
-        // Contract robustness: forgetting a surviving edge in
-        // `reweighted` must cost efficiency only, never accuracy.
-        let g = small();
-        let mut spt = SptWorkspace::new();
-        spt.rebuild(&g, 0);
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 1.0);
-        b.add_edge(1, 2, 1.0);
-        b.add_edge(0, 2, 5.0);
-        let g1 = b.build();
-        spt.apply(&g1, &[], &[(2, 2)]); // edges 0 and 1 unlisted
-        assert_spt_matches_fresh(&spt, &g1, "incomplete delta");
-    }
-
-    #[test]
-    fn spt_random_walk_matches_fresh_every_step() {
-        // Random dense-ish graphs under heavy churn: every step removes,
-        // reweights, and adds edges with remapped ids.
-        let mut rng = leo_util::rng::Rng64::seed_from_u64(0x5_e71d);
-        let n = 24usize;
-        // Persistent edge set as (u, v) pairs with weights; ids are
-        // positional, so each rebuild assigns ids by current order.
-        let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
-        for u in 0..n as NodeId {
-            for v in (u + 1)..n as NodeId {
-                if rng.random_range(0u32..4) == 0 {
-                    edges.push((u, v, 0.1 + rng.next_f64() * 10.0));
-                }
-            }
-        }
-        let build = |edges: &[(NodeId, NodeId, f64)]| {
-            let mut b = GraphBuilder::new(n);
-            for &(u, v, w) in edges {
-                b.add_edge(u, v, w);
-            }
-            b.build()
-        };
-        let g0 = build(&edges);
-        let mut spt = SptWorkspace::new();
-        spt.rebuild(&g0, 3);
-        assert_spt_matches_fresh(&spt, &g0, "walk rebuild");
-        for step in 0..60 {
-            let mut removed = Vec::new();
-            let mut survivors = Vec::new();
-            for (old_id, e) in edges.iter().enumerate() {
-                if rng.random_range(0u32..6) == 0 {
-                    removed.push(old_id as EdgeId);
-                } else {
-                    survivors.push((old_id as EdgeId, *e));
-                }
-            }
-            // Shuffle survivor order so new ids differ from old ones.
-            for i in (1..survivors.len()).rev() {
-                let j = rng.random_range(0..i + 1);
-                survivors.swap(i, j);
-            }
-            let mut reweighted = Vec::new();
-            let mut next = Vec::new();
-            for (new_id, (old_id, (u, v, w))) in survivors.into_iter().enumerate() {
-                let w = if rng.random_range(0u32..2) == 0 {
-                    0.1 + rng.next_f64() * 10.0
-                } else {
-                    w
-                };
-                reweighted.push((old_id, new_id as EdgeId));
-                next.push((u, v, w));
-            }
-            for _ in 0..rng.random_range(0u32..6) {
-                let u = rng.random_range(0..n as u32);
-                let v = rng.random_range(0..n as u32);
-                if u != v {
-                    next.push((u.min(v), u.max(v), 0.1 + rng.next_f64() * 10.0));
-                }
-            }
-            let g = build(&next);
-            spt.apply(&g, &removed, &reweighted);
-            assert_spt_matches_fresh(&spt, &g, &format!("walk step {step}"));
-            edges = next;
-        }
     }
 }

@@ -200,164 +200,6 @@ fn early_exit_distances_are_never_stale() {
     });
 }
 
-/// An edge list in insertion order (ids = positions), the form
-/// [`mutate_edges`] steps to produce `SptWorkspace::apply` deltas.
-fn arb_edge_list(gen: &mut Gen, n: usize) -> Vec<(u32, u32, f64)> {
-    let mut edges = Vec::new();
-    for i in 1..n as u32 {
-        edges.push((i - 1, i, 1.0 + (i as f64 % 7.0)));
-    }
-    let extra = gen.vec(0..80, |g| (g.u32(0..40), g.u32(0..40), g.f64(0.1..100.0)));
-    for (u, v, w) in extra {
-        let (u, v) = (u % n as u32, v % n as u32);
-        if u != v {
-            edges.push((u, v, w));
-        }
-    }
-    edges
-}
-
-fn graph_of(n: usize, edges: &[(u32, u32, f64)]) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for &(u, v, w) in edges {
-        b.add_edge(u, v, w);
-    }
-    b.build()
-}
-
-/// Step an edge list to a next graph version — some edges removed, some
-/// reweighted (surviving ids stay compact in insertion order), some
-/// added — returning exactly the delta shape `SptWorkspace::apply`
-/// consumes.
-#[allow(clippy::type_complexity)]
-fn mutate_edges(
-    gen: &mut Gen,
-    n: usize,
-    edges: &[(u32, u32, f64)],
-) -> (Vec<(u32, u32, f64)>, Vec<EdgeId>, Vec<(EdgeId, EdgeId)>) {
-    let mut next = Vec::new();
-    let mut removed = Vec::new();
-    let mut reweighted = Vec::new();
-    for (old_id, &(u, v, w)) in edges.iter().enumerate() {
-        if gen.u32(0..100) < 15 {
-            removed.push(old_id as EdgeId);
-        } else {
-            let w = if gen.u32(0..100) < 30 {
-                gen.f64(0.1..100.0)
-            } else {
-                w
-            };
-            reweighted.push((old_id as EdgeId, next.len() as EdgeId));
-            next.push((u, v, w));
-        }
-    }
-    let added = gen.vec(0..20, |g| (g.u32(0..40), g.u32(0..40), g.f64(0.1..100.0)));
-    for (u, v, w) in added {
-        let (u, v) = (u % n as u32, v % n as u32);
-        if u != v {
-            next.push((u, v, w));
-        }
-    }
-    (next, removed, reweighted)
-}
-
-/// `SptWorkspace::apply_for_targets` is bitwise-equivalent to the full
-/// drain for every queried target (distances and extracted paths), its
-/// surviving labels are all final, and a subsequent *full* repair on the
-/// same workspace recovers the complete tree bit-for-bit — the early
-/// exit never leaks half-settled state into later deltas.
-#[test]
-fn spt_targeted_repair_matches_full_drain() {
-    check("spt_targeted_early_exit_equivalence", |gen| {
-        let n = gen.usize(2..40);
-        let e0 = arb_edge_list(gen, n);
-        let g0 = graph_of(n, &e0);
-        let (e1, removed1, rew1) = mutate_edges(gen, n, &e0);
-        let g1 = graph_of(n, &e1);
-        let (e2, removed2, rew2) = mutate_edges(gen, n, &e1);
-        let g2 = graph_of(n, &e2);
-        let src = gen.u32(0..40) % n as u32;
-        let targets = gen.vec(1..6, |g| g.u32(0..40) % n as u32);
-
-        // Identical deterministic starting trees.
-        let mut full = SptWorkspace::new();
-        let mut fast = SptWorkspace::new();
-        full.rebuild(&g0, src);
-        fast.rebuild(&g0, src);
-
-        full.apply(&g1, &removed1, &rew1);
-        fast.apply_for_targets(&g1, &removed1, &rew1, &targets);
-        for &t in &targets {
-            check_assert_eq!(fast.dist(t).to_bits(), full.dist(t).to_bits());
-            match (fast.extract_path(t), full.extract_path(t)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    check_assert_eq!(a.nodes, b.nodes);
-                    check_assert_eq!(a.edges, b.edges);
-                    check_assert_eq!(a.total_weight.to_bits(), b.total_weight.to_bits());
-                }
-                (a, b) => check_assert!(false, "target {t}: {a:?} vs {b:?}"),
-            }
-        }
-        // Labels the early exit kept are final (match the full drain);
-        // discarded ones read as unreached, never as stale values.
-        for v in 0..n as u32 {
-            let d = fast.dist(v);
-            if d.is_finite() {
-                check_assert_eq!(d.to_bits(), full.dist(v).to_bits());
-            }
-        }
-
-        // Second delta, applied fully to both: complete bitwise recovery.
-        full.apply(&g2, &removed2, &rew2);
-        fast.apply(&g2, &removed2, &rew2);
-        let fresh = dijkstra(&g2, src);
-        for v in 0..n {
-            check_assert_eq!(fast.dist(v as u32).to_bits(), full.dist(v as u32).to_bits());
-            check_assert_eq!(fast.dist(v as u32).to_bits(), fresh.dist[v].to_bits());
-        }
-        check_assert_eq!(fast.parent_edges(), full.parent_edges());
-        check_assert_eq!(fast.parent_nodes(), full.parent_nodes());
-        Ok(())
-    });
-}
-
-/// Deterministic witness that the early exit actually fires: on a long
-/// uniform chain with the target two hops from the source, the drain
-/// must stop within the first buckets and discard the far tail to the
-/// unreached shape (a full drain would keep every label finite).
-#[test]
-fn spt_targeted_repair_discards_far_labels() {
-    let n = 2000usize;
-    let chain = |w0: f64| {
-        let mut b = GraphBuilder::new(n);
-        b.add_edge(0, 1, w0);
-        for i in 2..n as u32 {
-            b.add_edge(i - 1, i, 10.0);
-        }
-        b.build()
-    };
-    let g0 = chain(10.0);
-    let g1 = chain(5.0);
-    let rew: Vec<(EdgeId, EdgeId)> = (0..g0.num_edges() as EdgeId).map(|e| (e, e)).collect();
-
-    let mut fast = SptWorkspace::new();
-    fast.rebuild(&g0, 0);
-    fast.apply_for_targets(&g1, &[], &rew, &[1]);
-    assert_eq!(fast.dist(1), 5.0);
-    assert!(
-        !fast.dist(n as u32 - 1).is_finite(),
-        "tail label survived — the early exit never fired"
-    );
-
-    // The truncated workspace still repairs back to a full exact tree.
-    fast.apply(&g0, &[], &rew);
-    let fresh = dijkstra(&g0, 0);
-    for v in 0..n {
-        assert_eq!(fast.dist(v as u32).to_bits(), fresh.dist[v].to_bits());
-    }
-}
-
 /// Yen's k-shortest-paths on equal-weight grid graphs — the worst case
 /// for spur-path tie-breaking, since every same-hop-count path costs
 /// *exactly* the same (1.0-weight edges sum without rounding). The

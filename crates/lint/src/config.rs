@@ -71,18 +71,14 @@ impl Default for LintConfig {
             // The inner loops the paper's artifact timings stand on
             // (`// lint: hot-path`-marked fns are roots implicitly).
             hot_path_roots: vec![
-                "SptWorkspace::apply".into(),
-                "SptWorkspace::rebuild".into(),
                 "DijkstraWorkspace::run".into(),
                 "DijkstraWorkspace::run_multi".into(),
                 "DijkstraWorkspace::run_contracted".into(),
                 "DijkstraWorkspace::run_two_leg_masked".into(),
                 "CoreGraph::build_from".into(),
                 "DirtyRows::rederive".into(),
-                "TimeSweep::step_with_deltas".into(),
                 "VisibilityScan::*".into(),
                 "StudyContext::sweep_fold".into(),
-                "StudyContext::sweep_fold_deltas".into(),
             ],
             // The analyzer itself is offline tooling — never on the
             // pipeline's hot paths; edges into it are method-name
@@ -106,10 +102,8 @@ impl Default for LintConfig {
                 // still attributed to their *defining* fns and patrolled.
                 "parallel_map_stats".into(),
                 "record_fanout".into(),
-                // One-time lazy inits behind a boolean: delta tracking
-                // (first `step_with_deltas`) and the land-mask bbox
-                // cache (first point test).
-                "TimeSweep::start_delta_tracking".into(),
+                // One-time lazy init behind a boolean: the land-mask
+                // bbox cache (first point test).
                 "poly_bboxes".into(),
                 // Full-rebuild fallback for the first step of a sweep;
                 // every later step takes the incremental `advance_to` /
@@ -205,7 +199,10 @@ mod tests {
         assert_eq!(cfg.panic_allow, vec!["crates/util/src/check.rs"]);
         // Defaults name the real inner-loop roots.
         let d = LintConfig::default();
-        assert!(d.hot_path_roots.iter().any(|r| r == "SptWorkspace::apply"));
+        assert!(d
+            .hot_path_roots
+            .iter()
+            .any(|r| r == "DijkstraWorkspace::run"));
         assert!(d.panic_allow.iter().any(|p| p.ends_with("check.rs")));
     }
 

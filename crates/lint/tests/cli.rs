@@ -136,6 +136,9 @@ fn rules_listing_names_local_workspace_and_audit_rules() {
 /// API, an allocation below a default hot-path root, and a stale allow.
 fn v2_tree(name: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    // Start empty: files left by an older version of this tree would
+    // still be linted.
+    let _ = std::fs::remove_dir_all(&root);
     let src = root.join("crates/x/src");
     std::fs::create_dir_all(&src).expect("mkdir");
     std::fs::write(
@@ -146,12 +149,12 @@ fn v2_tree(name: &str) -> PathBuf {
     )
     .expect("write lib.rs");
     std::fs::write(
-        src.join("spt.rs"),
-        "pub struct SptWorkspace;\n\
-         impl SptWorkspace { pub fn apply(&mut self) { relax(); } }\n\
+        src.join("shortest.rs"),
+        "pub struct DijkstraWorkspace;\n\
+         impl DijkstraWorkspace { pub fn run(&mut self) { relax(); } }\n\
          fn relax() { let v: Vec<u32> = Vec::new(); drop(v); }\n",
     )
-    .expect("write spt.rs");
+    .expect("write shortest.rs");
     std::fs::write(
         src.join("stale.rs"),
         "pub fn double(x: u32) -> u32 {\n    x * 2 // lint: allow(wall-clock) timing call was removed\n}\n",
@@ -185,7 +188,7 @@ fn v2_rules_reach_jsonl_with_chains() {
                     assert!(msg.contains("api → mid → deep"), "{msg}");
                 }
                 "hot-path-alloc" => {
-                    assert!(msg.contains("SptWorkspace::apply → relax"), "{msg}");
+                    assert!(msg.contains("DijkstraWorkspace::run → relax"), "{msg}");
                 }
                 _ => {}
             }

@@ -80,8 +80,8 @@ const CASES: &[(&str, &str, &str, FileKind, usize)] = &[
         FileKind::Lib,
         1,
     ),
-    // The workspace half of hot-path-alloc: the fixture defines an
-    // `SptWorkspace::apply`, which the default config lists as a root.
+    // The workspace half of hot-path-alloc: the fixture defines a
+    // `DijkstraWorkspace::run`, which the default config lists as a root.
     (
         "hot-path-alloc",
         "hot-path-reach",
@@ -184,7 +184,7 @@ fn reachability_diagnostics_carry_multi_hop_chains() {
     assert!(
         out.diagnostics[0]
             .msg
-            .contains("SptWorkspace::apply → relax → settle"),
+            .contains("DijkstraWorkspace::run → relax → settle"),
         "{}",
         out.diagnostics[0].msg
     );

@@ -1,10 +1,10 @@
 // hot-path-alloc (workspace half): the default config roots include
-// `SptWorkspace::apply`; an allocation two private hops below it must
+// `DijkstraWorkspace::run`; an allocation two private hops below it must
 // be reported with the chain from the root.
-pub struct SptWorkspace;
+pub struct DijkstraWorkspace;
 
-impl SptWorkspace {
-    pub fn apply(&mut self) {
+impl DijkstraWorkspace {
+    pub fn run(&mut self) {
         relax();
     }
 }

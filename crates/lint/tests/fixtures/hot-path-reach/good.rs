@@ -1,9 +1,9 @@
 // hot-path-reach good case: the same call shape, but the leaf only
 // pushes into a caller-recycled buffer — the sanctioned idiom.
-pub struct SptWorkspace;
+pub struct DijkstraWorkspace;
 
-impl SptWorkspace {
-    pub fn apply(&mut self, buf: &mut Vec<u32>) {
+impl DijkstraWorkspace {
+    pub fn run(&mut self, buf: &mut Vec<u32>) {
         relax(buf);
     }
 }

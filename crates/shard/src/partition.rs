@@ -67,7 +67,6 @@ impl ShardSpec {
 
     /// All `count` specs in index order.
     pub fn all(count: usize) -> Vec<ShardSpec> {
-        // lint: allow(hot-path-alloc) one K-element Vec per sharded run at setup; the sweep edge is a bare-call name collision on `all`
         (0..count).map(|index| ShardSpec { index, count }).collect()
     }
 }

@@ -4,7 +4,6 @@
 //! lives here as a small, documented, dependency-free implementation:
 //!
 //! * [`rng`] — seedable SplitMix64 + xoshiro256++ PRNG (replaces `rand`)
-//! * [`buf`] — little-endian byte reader/writer (replaces `bytes`)
 //! * [`config`] — `key = value` sectioned config text (replaces `serde`)
 //! * [`check`] — seeded property-testing harness (replaces `proptest`)
 //! * [`mod@bench`] — warmup + median/p95 timing harness (replaces `criterion`)
@@ -23,7 +22,6 @@
 //! workspace may depend on it (it is the bottom of the layer diagram).
 
 pub mod bench;
-pub mod buf;
 pub mod check;
 pub mod config;
 pub mod rng;

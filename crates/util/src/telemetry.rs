@@ -11,7 +11,7 @@
 //!   totals for the final manifest;
 //! * **counters & histograms** — lock-free `static` [`Counter`]s and
 //!   fixed-bucket log₂-scale [`Histogram`]s (Dijkstra calls, max-min
-//!   rounds, packetsim events, codec bytes, …);
+//!   rounds, packetsim events, …);
 //! * **a JSON-lines sink** — [`init`] opens `RUN_<label>.jsonl` (in
 //!   `LEO_LOG_DIR`, default cwd) and [`finish_run`] appends counter and
 //!   histogram records plus a final **manifest** record (config hash,
@@ -800,8 +800,8 @@ const HEARTBEAT_DEFAULT_S: f64 = 10.0;
 
 /// A progress heartbeat for long sweeps: emits periodic `heartbeat`
 /// JSONL events carrying throughput (items/s), ETA, current and peak
-/// RSS, and a snapshot of every registered [`Counter`] (so sweep-cache
-/// counters like `sweep_edges_reused` are visible mid-run).
+/// RSS, and a snapshot of every registered [`Counter`] (so sweep
+/// counters like `sweep_cell_transitions` are visible mid-run).
 ///
 /// Cadence comes from the `LEO_LOG_HEARTBEAT` env var: seconds between
 /// events (fractions allowed), `0` = every tick, `off` = never. Unset

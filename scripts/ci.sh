@@ -191,30 +191,6 @@ awk -F'"median_ns":' '
     }
 ' "$log_dir/BENCH_routing.json"
 
-echo "== delta lane: Tiny delta-vs-full equivalence (>= 1000 bitwise-verified repairs) =="
-cargo test -q --offline -p leo-integration-tests --test sweep \
-    spt_repairs_match_fresh_dijkstra_through_sweep_deltas -- --exact
-
-echo "== delta bench smoke: delta step must beat full per-instant Dijkstra =="
-LEO_LOG=off LEO_BENCH_DIR="$log_dir" \
-    cargo bench -q --offline -p leo-bench --bench delta > /dev/null
-awk -F'"median_ns":' '
-    /"bench":"fig2_inner_full_dijkstra"/ { split($2, a, /[,}]/); full = a[1] }
-    /"bench":"fig2_inner_delta_spt"/     { split($2, a, /[,}]/); delta = a[1] }
-    END {
-        if (full == "" || delta == "" || delta <= 0) {
-            print "ERROR: fig2_inner benches missing from BENCH_delta.json" > "/dev/stderr"
-            exit 1
-        }
-        ratio = full / delta
-        printf "fig2 inner loop: full %d ns vs delta %d ns  (%.2fx)\n", full, delta, ratio
-        if (ratio < 1.2) {
-            printf "ERROR: delta speedup %.2fx below 1.2x smoke floor\n", ratio > "/dev/stderr"
-            exit 1
-        }
-    }
-' "$log_dir/BENCH_delta.json"
-
 echo "== snapshot bench smoke: sweep step must beat per-instant rebuild =="
 LEO_LOG=off LEO_BENCH_DIR="$log_dir" \
     cargo bench -q --offline -p leo-bench --bench snapshot > /dev/null

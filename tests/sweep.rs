@@ -5,12 +5,11 @@
 //! The leo-core unit tests pin a handful of hand-picked instants; this
 //! suite drives the incremental engine with randomized times, step
 //! sizes (including backwards jumps), mode subsets, and two different
-//! constellation geometries, so any drift the delta path could
+//! constellation geometries, so any drift the incremental path could
 //! accumulate — stale cell membership, missed transitions, reused link
 //! buffers — shows up as a bit-level mismatch.
 
 use leo_core::{ExperimentScale, Mode, NetworkSnapshot, StudyContext, TimeSweep};
-use leo_graph::SptWorkspace;
 use leo_util::check::check_with;
 use leo_util::{check_assert, check_assert_eq};
 
@@ -102,104 +101,4 @@ fn random_sweeps_match_fresh_bundles_kuiper() {
     // different cell-transition patterns and visibility radii.
     let c = ctx(leo_core::ConstellationKind::Kuiper);
     random_sweep_property(&c, "random_sweeps_match_fresh_bundles_kuiper", 8);
-}
-
-/// The incremental-SPT equivalence contract, driven end-to-end through
-/// real sweep deltas: a [`SptWorkspace`] repaired with
-/// `TimeSweep::step_with_deltas`'s per-mode [`EdgeDelta`]s must stay
-/// bit-identical to a fresh Dijkstra on every step — distances AND
-/// deterministic tie-broken parents — for every mode and across random
-/// walks with forward, backward, sub-cell, and many-cell jumps.
-///
-/// [`EdgeDelta`]: leo_core::EdgeDelta
-#[test]
-fn spt_repairs_match_fresh_dijkstra_through_sweep_deltas() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    const MODES: [Mode; 3] = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
-    // 24 cases × 8 incremental steps × 3 modes × 2 sources ≥ 1000
-    // delta repairs (`apply` invocations), each verified bitwise.
-    const CASES: usize = 24;
-    const STEPS: usize = 9;
-    static APPLIES: AtomicUsize = AtomicUsize::new(0);
-    let c = ctx(leo_core::ConstellationKind::Starlink);
-    let num_cities = c.ground.cities.len();
-    check_with("spt_repairs_match_fresh_dijkstra", CASES, |g| {
-        let srcs = [
-            g.usize(0..num_cities / 2),
-            g.usize(num_cities / 2..num_cities),
-        ];
-        let mut spts: Vec<Vec<SptWorkspace>> = (0..MODES.len())
-            .map(|_| srcs.iter().map(|_| SptWorkspace::new()).collect())
-            .collect();
-        let mut sweep = TimeSweep::new(&c, &MODES);
-        let mut t = g.f64(0.0..86_400.0);
-        for s in 0..STEPS {
-            let (snaps, deltas) = sweep.step_with_deltas(t);
-            check_assert_eq!(deltas.len(), MODES.len(), "delta count");
-            for (mi, (snap, delta)) in snaps.iter().zip(deltas).enumerate() {
-                for (si, &src) in srcs.iter().enumerate() {
-                    let spt = &mut spts[mi][si];
-                    let source = snap.city_node(src);
-                    if delta.full || !spt.is_ready() {
-                        spt.rebuild(&snap.graph, source);
-                    } else {
-                        spt.apply(&snap.graph, &delta.removed, &delta.reweighted);
-                        APPLIES.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let fresh = leo_graph::dijkstra(&snap.graph, source);
-                    let n = snap.graph.num_nodes();
-                    check_assert_eq!(spt.num_nodes(), n, "step {s} node count");
-                    for v in 0..n {
-                        let what = format!("step {s} t={t} mode #{mi} src {src} node {v}");
-                        check_assert_eq!(
-                            spt.dist(v as u32).to_bits(),
-                            fresh.dist[v].to_bits(),
-                            "{what}: dist"
-                        );
-                        check_assert_eq!(
-                            spt.parent_nodes()[v],
-                            fresh.parent_node[v],
-                            "{what}: parent node"
-                        );
-                        check_assert_eq!(
-                            spt.parent_edges()[v],
-                            fresh.parent_edge[v],
-                            "{what}: parent edge"
-                        );
-                    }
-                    // Paths read off the repaired tree (the churn driver's
-                    // access pattern) must match the fresh tree's too.
-                    let target = snap.city_node(g.usize(0..num_cities));
-                    let a = spt.extract_path(target);
-                    let b = leo_graph::extract_path(&fresh, target);
-                    check_assert_eq!(
-                        a.is_some(),
-                        b.is_some(),
-                        "step {s} mode #{mi} target reachability"
-                    );
-                    if let (Some(pa), Some(pb)) = (a, b) {
-                        check_assert_eq!(pa.nodes, pb.nodes, "step {s} path nodes");
-                        check_assert_eq!(pa.edges, pb.edges, "step {s} path edges");
-                        check_assert_eq!(
-                            pa.total_weight.to_bits(),
-                            pb.total_weight.to_bits(),
-                            "step {s} path weight"
-                        );
-                    }
-                }
-            }
-            let dt = if g.bool() {
-                g.f64(0.1..120.0)
-            } else {
-                g.f64(120.0..20_000.0)
-            };
-            t = if g.u32(0..8) == 0 { t - dt } else { t + dt };
-        }
-        Ok(())
-    });
-    assert!(
-        APPLIES.load(Ordering::Relaxed) >= 1000,
-        "property suite must exercise >= 1000 delta repairs, got {}",
-        APPLIES.load(Ordering::Relaxed)
-    );
 }
