@@ -13,15 +13,20 @@
 //! `                  [--workers K] [--max-worker-rss-mb M]`
 //!
 //! (`--shard i/K --shard-dir D --threads T` is the internal worker
-//! protocol — the coordinator re-invokes itself with those.)
+//! protocol — the coordinator re-invokes itself with those, through the
+//! same spawn helper and worker body as `fig2_latency --shards K`.)
 
-use leo_bench::{finish_run_with, init_run, print_table, results_dir, shard_label};
+use leo_bench::{
+    finish_run_with, init_run, print_table, results_dir, run_latency_worker, shard_cli,
+    shard_files, shard_label, spawn_shard_workers, ShardCli,
+};
 use leo_core::{ConstellationKind, Mode, NetworkConfig, StudyConfig};
-use leo_shard::runner::{merge_latency_files, shard_file_name, spill_latency_shard};
+use leo_shard::runner::merge_latency_files;
 use leo_shard::ShardSpec;
 use leo_util::diag;
 use leo_util::telemetry::Json;
-use std::path::{Path, PathBuf};
+use std::ffi::OsStr;
+use std::path::Path;
 
 const LABEL: &str = "ext_million_pairs";
 const MODES: [Mode; 1] = [Mode::BpOnly];
@@ -33,8 +38,6 @@ struct Args {
     workers: usize,
     max_worker_rss_mb: u64,
     threads: usize,
-    worker: Option<ShardSpec>,
-    dir: Option<PathBuf>,
 }
 
 fn usage(msg: &str) -> ! {
@@ -45,7 +48,9 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+/// This harness's own flags, plus the worker protocol (`--shard`,
+/// `--shard-dir`) parsed by [`shard_cli`].
+fn parse_args() -> (Args, ShardCli) {
     let mut args = Args {
         pairs: 1_000_000,
         cities: 4_000,
@@ -53,9 +58,8 @@ fn parse_args() -> Args {
         workers: 4,
         max_worker_rss_mb: 512,
         threads: 0,
-        worker: None,
-        dir: None,
     };
+    let mut shard_args = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut num = |name: &str| -> usize {
@@ -70,14 +74,9 @@ fn parse_args() -> Args {
             "--workers" => args.workers = num("--workers").max(1),
             "--max-worker-rss-mb" => args.max_worker_rss_mb = num("--max-worker-rss-mb") as u64,
             "--threads" => args.threads = num("--threads"),
-            "--shard" => {
-                let v = it.next().unwrap_or_default();
-                args.worker =
-                    Some(ShardSpec::parse(&v).unwrap_or_else(|e| usage(&format!("--shard: {e}"))));
-            }
-            "--shard-dir" => {
-                let v = it.next().unwrap_or_default();
-                args.dir = Some(PathBuf::from(v));
+            "--shard" | "--shard-dir" => {
+                shard_args.push(a);
+                shard_args.push(it.next().unwrap_or_default());
             }
             other => usage(&format!("unknown flag '{other}'")),
         }
@@ -85,7 +84,7 @@ fn parse_args() -> Args {
     if args.cities < 2 {
         usage("--cities must be at least 2");
     }
-    args
+    (args, shard_cli(shard_args, &[]))
 }
 
 /// The study config: Starlink, BP-only, no relay grid (this harness
@@ -105,31 +104,6 @@ fn build_config(a: &Args) -> StudyConfig {
         snapshot_times_s: StudyConfig::day_snapshots(a.snapshots),
         seed: 42,
     }
-}
-
-/// Worker: fold one shard, spill, record the manifest (the coordinator
-/// reads `peak_rss_kb` out of it), print nothing to stdout.
-fn run_worker(a: &Args, spec: ShardSpec, dir: &Path) {
-    let label = shard_label(LABEL, spec);
-    init_run(&label);
-    let cfg = build_config(a);
-    let path = spill_latency_shard(&cfg, &MODES, spec, a.threads, dir, LABEL).unwrap_or_else(|e| {
-        eprintln!("{LABEL} shard {spec}: {e}");
-        std::process::exit(1);
-    });
-    let (header, _) = leo_shard::codec::read_shard(&path).unwrap_or_else(|e| {
-        eprintln!("{LABEL} shard {spec}: re-reading spill: {e}");
-        std::process::exit(1);
-    });
-    finish_run_with(
-        &label,
-        &cfg,
-        &[
-            ("shard", spec.to_string()),
-            ("pair_lo", header.pair_lo.to_string()),
-            ("pair_hi", header.pair_hi.to_string()),
-        ],
-    );
 }
 
 /// Read `peak_rss_kb` (and the shard's pair range) from a worker's run
@@ -163,16 +137,19 @@ fn worker_manifest(dir: &Path, spec: ShardSpec) -> Result<(u64, u64, u64), Strin
 }
 
 fn main() {
-    let a = parse_args();
-    let default_dir = || results_dir().join("shards").join(LABEL);
-    if let Some(spec) = a.worker {
-        let dir = a.dir.clone().unwrap_or_else(default_dir);
-        run_worker(&a, spec, &dir);
+    let (a, shard) = parse_args();
+    let cfg = build_config(&a);
+    let dir = shard
+        .dir
+        .unwrap_or_else(|| results_dir().join("shards").join(LABEL));
+    if let Some(spec) = shard.worker {
+        // The coordinator reads `peak_rss_kb` and the pair range out of
+        // this worker's manifest.
+        run_latency_worker(LABEL, &cfg, &MODES, spec, a.threads, &dir);
         return;
     }
 
     init_run(LABEL);
-    let dir = a.dir.clone().unwrap_or_else(default_dir);
     // Scratch dir owned by this run: stale spills or worker logs from a
     // previous invocation must not be merged by mistake.
     let _ = std::fs::remove_dir_all(&dir);
@@ -195,56 +172,36 @@ fn main() {
 
     // Spawn the workers. Logging is forced on: the RSS assertion reads
     // each worker's manifest, so a silent worker is a failed worker.
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("{LABEL}: current_exe: {e}");
+    let worker_args = [
+        ("--pairs", a.pairs),
+        ("--cities", a.cities),
+        ("--snapshots", a.snapshots),
+        ("--threads", threads_per_worker),
+    ]
+    .iter()
+    .flat_map(|(flag, v)| [flag.to_string(), v.to_string()])
+    .collect::<Vec<_>>();
+    let env = [
+        ("LEO_LOG", OsStr::new("info")),
+        ("LEO_LOG_DIR", dir.as_os_str()),
+    ];
+    spawn_shard_workers(a.workers, &dir, &worker_args, &env).unwrap_or_else(|e| {
+        eprintln!("{LABEL}: {e}");
         std::process::exit(1);
     });
-    let specs = ShardSpec::all(a.workers);
-    let mut children = Vec::with_capacity(a.workers);
-    for &spec in &specs {
-        let child = std::process::Command::new(&exe)
-            .args(["--pairs", &a.pairs.to_string()])
-            .args(["--cities", &a.cities.to_string()])
-            .args(["--snapshots", &a.snapshots.to_string()])
-            .args(["--threads", &threads_per_worker.to_string()])
-            .args(["--shard", &spec.to_string()])
-            .arg("--shard-dir")
-            .arg(&dir)
-            .env("LEO_LOG", "info")
-            .env("LEO_LOG_DIR", &dir)
-            .spawn()
-            .unwrap_or_else(|e| {
-                eprintln!("{LABEL}: spawn worker {spec}: {e}");
-                std::process::exit(1);
-            });
-        children.push((spec, child));
-    }
-    for (spec, mut child) in children {
-        let status = child.wait().unwrap_or_else(|e| {
-            eprintln!("{LABEL}: wait for worker {spec}: {e}");
-            std::process::exit(1);
-        });
-        if !status.success() {
-            eprintln!("{LABEL}: worker {spec} exited with {status}");
-            std::process::exit(1);
-        }
-    }
 
     // Merge the spill files into the full run.
-    let files: Vec<PathBuf> = specs
-        .iter()
-        .map(|&s| dir.join(shard_file_name(LABEL, s)))
-        .collect();
-    let (run, keepers) = merge_latency_files(&files).unwrap_or_else(|e| {
-        eprintln!("{LABEL}: merge: {e}");
-        std::process::exit(1);
-    });
+    let (run, keepers) =
+        merge_latency_files(&shard_files(&dir, LABEL, a.workers)).unwrap_or_else(|e| {
+            eprintln!("{LABEL}: merge: {e}");
+            std::process::exit(1);
+        });
 
     // Per-worker accounting + the RSS assertion.
     let budget_kb = a.max_worker_rss_mb * 1024;
     let mut rows = Vec::new();
     let mut over_budget = false;
-    for &spec in &specs {
+    for spec in ShardSpec::all(a.workers) {
         let (rss_kb, lo, hi) = worker_manifest(&dir, spec).unwrap_or_else(|e| {
             eprintln!("{LABEL}: {e}");
             std::process::exit(1);
@@ -299,7 +256,6 @@ fn main() {
         ],
     );
 
-    let cfg = build_config(&a);
     assert_eq!(
         run.config_hash,
         leo_shard::runner::config_hash(&cfg),

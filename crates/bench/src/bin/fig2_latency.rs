@@ -1,27 +1,21 @@
 //! Fig. 2 — minimum RTT (a) and RTT variation (b) CDFs across city pairs,
 //! BP vs hybrid, plus the §1/§4 headline summary numbers.
 //!
-//! Sharded execution (`leo-shard`): `--shards K` partitions the traffic
-//! matrix into `K` pair shards, runs each through the same latency fold
-//! on a range-restricted context, spills keepers, and merges — the
-//! tables and CSV are **byte-identical** to an unsharded run (CI diffs
-//! them). Add `--spawn` to fan out over OS processes instead of
-//! in-process workers; `--shard i/K --shard-dir D` is the worker half
-//! of that protocol (spills one shard, prints nothing to stdout).
+//! Sharded execution (`leo-shard`): `--shards K` spawns `K` OS worker
+//! processes of this binary (`--shard i/K --shard-dir D`), each folding
+//! one pair shard on a range-restricted context and spilling its
+//! keepers; the coordinator merges the spill files. The tables and CSV
+//! are **byte-identical** to an unsharded run (CI diffs them).
 
 use leo_bench::{
-    config_with_cities, finish_run, finish_run_with, init_run, print_table, results_dir,
-    scale_from_args, shard_cli, shard_dir, shard_label, spawn_shard_workers,
+    config_with_cities, finish_run_with, init_run, print_table, results_dir, run_latency_worker,
+    shard_cli, shard_dir, shard_files, spawn_figure_workers,
 };
 use leo_core::experiments::latency::{latency_studies, summarize, PairStats};
 use leo_core::metrics::Distribution;
 use leo_core::output::CsvWriter;
 use leo_core::{Mode, StudyContext};
-use leo_shard::codec::read_shard;
-use leo_shard::runner::{
-    merge_latency_files, run_latency_sharded, shard_file_name, spill_latency_shard,
-};
-use leo_shard::ShardSpec;
+use leo_shard::runner::merge_latency_files;
 use leo_util::diag;
 
 const LABEL: &str = "fig2_latency";
@@ -36,38 +30,12 @@ fn cdf_rows(stats: &[PairStats]) -> (Distribution, Distribution) {
     )
 }
 
-/// Worker half of the `--spawn` protocol: fold one shard, spill it,
-/// record the run log, say nothing on stdout.
-fn run_worker(cfg: &leo_core::StudyConfig, spec: ShardSpec, dir: &std::path::Path) {
-    let label = shard_label(LABEL, spec);
-    init_run(&label);
-    let path = spill_latency_shard(cfg, &MODES, spec, 0, dir, LABEL).unwrap_or_else(|e| {
-        eprintln!("fig2 shard {spec}: {e}");
-        std::process::exit(1);
-    });
-    let (header, _) = read_shard(&path).unwrap_or_else(|e| {
-        eprintln!("fig2 shard {spec}: re-reading spill: {e}");
-        std::process::exit(1);
-    });
-    finish_run_with(
-        &label,
-        cfg,
-        &[
-            ("shard", spec.to_string()),
-            ("pair_lo", header.pair_lo.to_string()),
-            ("pair_hi", header.pair_hi.to_string()),
-            ("shard_file", path.display().to_string()),
-        ],
-    );
-}
-
 fn main() {
-    let (scale, rest) = scale_from_args();
-    let cli = shard_cli(rest);
-    let cfg = config_with_cities(scale, 340);
+    let cli = shard_cli(std::env::args().skip(1), &[]);
+    let cfg = config_with_cities(cli.scale, 340);
 
     if let Some(spec) = cli.worker {
-        run_worker(&cfg, spec, &shard_dir(&cli));
+        run_latency_worker(LABEL, &cfg, &MODES, spec, 0, &shard_dir(&cli));
         return;
     }
 
@@ -83,35 +51,18 @@ fn main() {
 
     let mut extras: Vec<(&str, String)> = Vec::new();
     let mut studies = if cli.shards > 0 {
-        let dir = shard_dir(&cli);
-        let (run, keepers) = if cli.spawn {
-            spawn_shard_workers(scale, cli.shards, &dir, &[]).unwrap_or_else(|e| {
-                eprintln!("fig2: {e}");
-                std::process::exit(1);
-            });
-            let files: Vec<_> = ShardSpec::all(cli.shards)
-                .into_iter()
-                .map(|s| dir.join(shard_file_name(LABEL, s)))
-                .collect();
-            merge_latency_files(&files).unwrap_or_else(|e| {
+        let dir = spawn_figure_workers(&cli);
+        let (run, keepers) = merge_latency_files(&shard_files(&dir, LABEL, cli.shards))
+            .unwrap_or_else(|e| {
                 eprintln!("fig2: merging worker spills: {e}");
                 std::process::exit(1);
-            })
-        } else {
-            let (run, keepers, _files) = run_latency_sharded(&cfg, &MODES, cli.shards, &dir, LABEL)
-                .unwrap_or_else(|e| {
-                    eprintln!("fig2: sharded run: {e}");
-                    std::process::exit(1);
-                });
-            (run, keepers)
-        };
+            });
         assert_eq!(
             run.n_pairs as usize,
             ctx.pairs.len(),
             "merged shards cover a different traffic matrix than this config"
         );
         extras.push(("shards", run.shard_count.to_string()));
-        extras.push(("spawned", cli.spawn.to_string()));
         keepers.to_stats(&ctx.pairs).unwrap_or_else(|e| {
             eprintln!("fig2: {e}");
             std::process::exit(1);
@@ -217,9 +168,5 @@ fn main() {
     }
     w.flush().unwrap();
     diag!("wrote {}", path.display());
-    if extras.is_empty() {
-        finish_run(LABEL, &ctx.config);
-    } else {
-        finish_run_with(LABEL, &ctx.config, &extras);
-    }
+    finish_run_with(LABEL, &ctx.config, &extras);
 }

@@ -3,16 +3,16 @@
 //! statistic (pass `--disconnected`).
 //!
 //! Sharded execution (`leo-shard`): routing is per-pair independent, so
-//! `--shards K` routes each pair shard in a range-restricted context,
-//! spills the per-pair path sets (one file per constellation per
-//! shard), and re-solves the *global* max-min allocation from the
-//! merged path list — byte-identical tables and CSV. `--spawn` fans
-//! out over OS processes; `--shard i/K --shard-dir D` is the worker
-//! half of that protocol.
+//! `--shards K` spawns `K` OS worker processes of this binary
+//! (`--shard i/K --shard-dir D`), each routing one pair shard in a
+//! range-restricted context and spilling the per-pair path sets (one
+//! file per constellation per shard). The coordinator merges the spill
+//! files and re-solves the *global* max-min allocation from the merged
+//! path list — byte-identical tables and CSV.
 
 use leo_bench::{
-    finish_run, finish_run_with, init_run, print_table, results_dir, scale_from_args, shard_cli,
-    shard_dir, shard_label, spawn_shard_workers,
+    finish_run, finish_run_with, init_run, print_table, results_dir, shard_cli, shard_dir,
+    shard_files, shard_label, spawn_figure_workers,
 };
 use leo_core::experiments::throughput::{
     disconnected_satellite_fraction, throughput, throughput_from_path_edges, ThroughputResult,
@@ -20,8 +20,8 @@ use leo_core::experiments::throughput::{
 use leo_core::output::CsvWriter;
 use leo_core::{ConstellationKind, ExperimentScale, Mode, StudyContext};
 use leo_flow::FlowWorkspace;
-use leo_shard::runner::{merge_flow_files, run_flow_sharded, shard_file_name, spill_flow_shard};
-use leo_shard::{FlowPathsKeepers, ShardSpec};
+use leo_shard::runner::{merge_flow_files, spill_flow_shard};
+use leo_shard::ShardSpec;
 use leo_util::diag;
 
 const LABEL: &str = "fig4_throughput";
@@ -49,57 +49,35 @@ fn kind_label(kind: ConstellationKind) -> String {
 fn run_worker(scale: ExperimentScale, spec: ShardSpec, dir: &std::path::Path) {
     let label = shard_label(LABEL, spec);
     init_run(&label);
-    let mut extras: Vec<(&str, String)> = vec![("shard", spec.to_string())];
+    let mut header = None;
     for kind in KINDS {
         let cfg = kind_config(scale, kind);
-        let path = spill_flow_shard(&cfg, T_S, &COMBOS, spec, dir, &kind_label(kind))
+        let (path, h) = spill_flow_shard(&cfg, T_S, &COMBOS, spec, dir, &kind_label(kind))
             .unwrap_or_else(|e| {
                 eprintln!("fig4 shard {spec} ({kind:?}): {e}");
                 std::process::exit(1);
             });
         diag!("fig4 shard {spec}: spilled {}", path.display());
+        // The pair sample does not depend on the constellation, so every
+        // kind's shard covers the same pair range.
+        header = Some(h);
     }
-    extras.push(("kinds", format!("{KINDS:?}")));
-    finish_run_with(&label, &kind_config(scale, KINDS[0]), &extras);
-}
-
-/// Merged per-constellation path sets, keyed off the combo order.
-fn sharded_paths(
-    scale: ExperimentScale,
-    kind: ConstellationKind,
-    cli: &leo_bench::ShardCli,
-) -> FlowPathsKeepers {
-    let dir = shard_dir(cli);
-    let cfg = kind_config(scale, kind);
-    let (run, merged) = if cli.spawn {
-        let files: Vec<_> = ShardSpec::all(cli.shards)
-            .into_iter()
-            .map(|s| dir.join(shard_file_name(&kind_label(kind), s)))
-            .collect();
-        merge_flow_files(&files).unwrap_or_else(|e| {
-            eprintln!("fig4 ({kind:?}): merging worker spills: {e}");
-            std::process::exit(1);
-        })
-    } else {
-        let (run, merged, _files) =
-            run_flow_sharded(&cfg, T_S, &COMBOS, cli.shards, &dir, &kind_label(kind))
-                .unwrap_or_else(|e| {
-                    eprintln!("fig4 ({kind:?}): sharded run: {e}");
-                    std::process::exit(1);
-                });
-        (run, merged)
-    };
-    assert_eq!(
-        run.config_hash,
-        leo_shard::runner::config_hash(&cfg),
-        "merged shards were produced under a different config"
+    let header = header.expect("KINDS is not empty");
+    finish_run_with(
+        &label,
+        &kind_config(scale, KINDS[0]),
+        &[
+            ("shard", spec.to_string()),
+            ("pair_lo", header.pair_lo.to_string()),
+            ("pair_hi", header.pair_hi.to_string()),
+            ("kinds", format!("{KINDS:?}")),
+        ],
     );
-    merged
 }
 
 fn main() {
-    let (scale, rest) = scale_from_args();
-    let cli = shard_cli(rest);
+    let cli = shard_cli(std::env::args().skip(1), &["--disconnected"]);
+    let scale = cli.scale;
 
     if let Some(spec) = cli.worker {
         run_worker(scale, spec, &shard_dir(&cli));
@@ -107,15 +85,9 @@ fn main() {
     }
 
     init_run(LABEL);
-    let want_disconnected = cli.rest.iter().any(|a| a == "--disconnected");
+    let want_disconnected = cli.switches.iter().any(|a| a == "--disconnected");
 
-    if cli.shards > 0 && cli.spawn {
-        let dir = shard_dir(&cli);
-        if let Err(e) = spawn_shard_workers(scale, cli.shards, &dir, &[]) {
-            eprintln!("fig4: {e}");
-            std::process::exit(1);
-        }
-    }
+    let sharded_dir = (cli.shards > 0).then(|| spawn_figure_workers(&cli));
 
     let mut rows = Vec::new();
     let mut csv_rows: Vec<(String, String, usize, f64)> = Vec::new();
@@ -129,7 +101,20 @@ fn main() {
             ctx.pairs.len(),
             ctx.ground.relays.len()
         );
-        let merged = (cli.shards > 0).then(|| sharded_paths(scale, kind, &cli));
+        // Merged per-pair path sets of the worker spills, in combo order.
+        let merged = sharded_dir.as_deref().map(|dir| {
+            let files = shard_files(dir, &kind_label(kind), cli.shards);
+            let (run, merged) = merge_flow_files(&files).unwrap_or_else(|e| {
+                eprintln!("fig4 ({kind:?}): merging worker spills: {e}");
+                std::process::exit(1);
+            });
+            assert_eq!(
+                run.config_hash,
+                leo_shard::runner::config_hash(&ctx.config),
+                "merged shards were produced under a different config"
+            );
+            merged
+        });
         let mut per_kind: Vec<f64> = Vec::new();
         for (ci, &(mode, k)) in COMBOS.iter().enumerate() {
             let r: ThroughputResult = match &merged {
@@ -213,10 +198,7 @@ fn main() {
         finish_run_with(
             LABEL,
             &scale.config(),
-            &[
-                ("shards", cli.shards.to_string()),
-                ("spawned", cli.spawn.to_string()),
-            ],
+            &[("shards", cli.shards.to_string())],
         );
     } else {
         finish_run(LABEL, &scale.config());

@@ -6,109 +6,103 @@
 //! snapshot setup). Results print as aligned tables and are also written
 //! as CSV under `results/`.
 
-use leo_core::{ExperimentScale, StudyConfig};
+use leo_core::{ExperimentScale, Mode, StudyConfig};
+use leo_shard::runner::{shard_file_name, spill_latency_shard};
 use leo_shard::ShardSpec;
 use leo_util::telemetry;
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 
-/// Parse `--scale <tiny|bench|paper>` from `std::env::args`, defaulting
-/// to `bench`. Unknown values abort with a usage message.
-pub fn scale_from_args() -> (ExperimentScale, Vec<String>) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = ExperimentScale::Bench;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--scale" {
-            let v = it.next().unwrap_or_default();
-            scale = ExperimentScale::parse(&v).unwrap_or_else(|| {
-                // lint: allow(print-in-lib) CLI usage-error surface shared by every figure bin; exits immediately
-                eprintln!("unknown scale '{v}'; use tiny|bench|paper");
-                std::process::exit(2);
-            });
-        } else {
-            rest.push(a);
-        }
-    }
-    (scale, rest)
+/// Parse a figure bin's command line, `--scale <tiny|bench|paper>`
+/// (default `bench`) and nothing else, from `std::env::args`. Unknown
+/// values and undeclared arguments abort with a usage message.
+pub fn scale_from_args() -> ExperimentScale {
+    parse_cli(std::env::args().skip(1), &[], false).scale
 }
 
-/// The CLI name of a scale (inverse of `ExperimentScale::parse`), for
-/// re-spawning this binary as shard workers.
-pub fn scale_name(scale: ExperimentScale) -> &'static str {
-    match scale {
-        ExperimentScale::Tiny => "tiny",
-        ExperimentScale::Bench => "bench",
-        ExperimentScale::Paper => "paper",
-    }
-}
-
-/// Sharding options shared by the figure bins (parsed from the args
-/// left over after [`scale_from_args`]):
+/// The command line of a sharded bin: `--scale` as in
+/// [`scale_from_args`], the bin's own `declared` switches, and the
+/// shard protocol:
 ///
-/// * `--shards K` — coordinator: run the study as `K` pair shards and
-///   merge (output stays byte-identical to an unsharded run).
-/// * `--spawn` — with `--shards K`, run each shard as a separate OS
-///   process (re-invoking this binary in worker mode) instead of
-///   in-process workers.
+/// * `--shards K` — coordinator: run the study as `K` pair shards, each
+///   a separate OS process (this binary re-invoked in worker mode), and
+///   merge their spill files (output stays byte-identical to an
+///   unsharded run).
 /// * `--shard i/K` — worker mode: compute shard `i` only, spill it to
 ///   the shard dir, print nothing to stdout, and exit.
 /// * `--shard-dir D` — where spill files live (default
 ///   `results/shards`).
 #[derive(Debug, Clone, Default)]
 pub struct ShardCli {
+    /// `--scale`, default `bench`.
+    pub scale: ExperimentScale,
     /// Coordinator shard count; 0 = unsharded.
     pub shards: usize,
-    /// Coordinator: fan out over OS processes instead of threads.
-    pub spawn: bool,
     /// Worker mode: the one shard this process computes.
     pub worker: Option<ShardSpec>,
     /// Spill directory override.
     pub dir: Option<PathBuf>,
-    /// Args not consumed by the shard protocol.
-    pub rest: Vec<String>,
+    /// The `declared` switches given, in order.
+    pub switches: Vec<String>,
 }
 
-/// Parse the shard protocol flags out of `rest`. Malformed values abort
-/// with a usage message (CLI surface, same policy as
-/// [`scale_from_args`]).
-pub fn shard_cli(rest: Vec<String>) -> ShardCli {
+/// Parse `args` as a sharded bin's command line (see [`ShardCli`]).
+/// An argument that is neither a shard flag, `--scale`, nor one of the
+/// bin's `declared` switches — a typo, `--scale=paper`, a removed flag —
+/// exits 2 with a usage message before any work starts.
+pub fn shard_cli(args: impl IntoIterator<Item = String>, declared: &[&str]) -> ShardCli {
+    parse_cli(args, declared, true)
+}
+
+fn parse_cli(args: impl IntoIterator<Item = String>, declared: &[&str], sharded: bool) -> ShardCli {
     let mut cli = ShardCli::default();
-    let mut it = rest.into_iter();
-    let bail = |msg: String| -> ! {
+    let bail = |msg: &str| -> ! {
+        let argv0 = std::env::args().next().unwrap_or_default();
+        let bin = argv0.rsplit('/').next().unwrap_or_default();
+        let mut flags: Vec<&str> = declared.to_vec();
+        if sharded {
+            flags.extend(["--shards K | --shard i/K", "--shard-dir D"]);
+        }
+        let flags: String = flags.iter().map(|f| format!(" [{f}]")).collect();
         // lint: allow(print-in-lib) CLI usage-error surface shared by every figure bin; exits immediately
-        eprintln!("{msg}");
+        eprintln!("{bin}: {msg}\nusage: {bin} [--scale tiny|bench|paper]{flags}");
         std::process::exit(2);
     };
+    let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--shards" => {
+            "--scale" => {
+                let v = it.next().unwrap_or_default();
+                cli.scale = ExperimentScale::parse(&v)
+                    .unwrap_or_else(|| bail(&format!("unknown scale '{v}'; use tiny|bench|paper")));
+            }
+            "--shards" if sharded => {
                 let v = it.next().unwrap_or_default();
                 cli.shards = match v.parse::<usize>() {
                     Ok(k) if k >= 1 => k,
-                    _ => bail(format!("--shards needs a count >= 1, got '{v}'")),
+                    _ => bail(&format!("--shards needs a count >= 1, got '{v}'")),
                 };
             }
-            "--spawn" => cli.spawn = true,
-            "--shard" => {
+            "--shard" if sharded => {
                 let v = it.next().unwrap_or_default();
                 cli.worker = match ShardSpec::parse(&v) {
                     Ok(s) => Some(s),
-                    Err(e) => bail(format!("--shard: {e}")),
+                    Err(e) => bail(&format!("--shard: {e}")),
                 };
             }
-            "--shard-dir" => {
+            "--shard-dir" if sharded => {
                 let v = it.next().unwrap_or_default();
                 if v.is_empty() {
-                    bail("--shard-dir needs a path".to_string());
+                    bail("--shard-dir needs a path");
                 }
                 cli.dir = Some(PathBuf::from(v));
             }
-            _ => cli.rest.push(a),
+            s if declared.contains(&s) => cli.switches.push(a),
+            _ => bail(&format!("unknown argument '{a}'")),
         }
     }
-    if cli.worker.is_some() && (cli.shards > 0 || cli.spawn) {
-        bail("--shard (worker mode) conflicts with --shards/--spawn".to_string());
+    if cli.worker.is_some() && cli.shards > 0 {
+        bail("--shard (worker mode) conflicts with --shards");
     }
     cli
 }
@@ -131,30 +125,37 @@ pub fn shard_label(label: &str, spec: ShardSpec) -> String {
     format!("{label}.s{}of{}", spec.index, spec.count)
 }
 
-/// Re-invoke this binary once per shard as an OS worker process
-/// (`--scale S --shard i/K --shard-dir D` + `extra`), wait for all of
-/// them, and fail if any worker fails. Workers inherit stdio: their
-/// stdout stays silent by protocol, diagnostics go to stderr.
+/// The spill files of all `count` shards of `label` in `dir`, in shard
+/// order — what the coordinator merges once its workers are done.
+pub fn shard_files(dir: &Path, label: &str, count: usize) -> Vec<PathBuf> {
+    ShardSpec::all(count)
+        .into_iter()
+        .map(|spec| dir.join(shard_file_name(label, spec)))
+        .collect()
+}
+
+/// Coordinator half of the shard protocol: re-invoke this binary once
+/// per shard as an OS worker process (`args` + `--shard i/K
+/// --shard-dir D`, with `env` added to the inherited environment), wait
+/// for all of them, and fail if any worker fails. Workers inherit
+/// stdio: their stdout stays silent by protocol, diagnostics go to
+/// stderr.
 pub fn spawn_shard_workers(
-    scale: ExperimentScale,
     count: usize,
     dir: &Path,
-    extra: &[&str],
+    args: &[impl AsRef<OsStr>],
+    env: &[(&str, &OsStr)],
 ) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut children = Vec::with_capacity(count);
     for spec in ShardSpec::all(count) {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("--scale")
-            .arg(scale_name(scale))
+        let child = std::process::Command::new(&exe)
+            .args(args)
             .arg("--shard")
             .arg(spec.to_string())
             .arg("--shard-dir")
-            .arg(dir);
-        for a in extra {
-            cmd.arg(a);
-        }
-        let child = cmd
+            .arg(dir)
+            .envs(env.iter().copied())
             .spawn()
             .map_err(|e| format!("spawn shard worker {spec}: {e}"))?;
         children.push((spec, child));
@@ -173,6 +174,56 @@ pub fn spawn_shard_workers(
     } else {
         Err(failed.join("; "))
     }
+}
+
+/// [`spawn_shard_workers`] for a figure bin: `cli.shards` workers of
+/// this binary at `cli.scale`, spilling into [`shard_dir`]; returns that
+/// dir for the merge. A failed worker exits this process with 1.
+pub fn spawn_figure_workers(cli: &ShardCli) -> PathBuf {
+    let scale = match cli.scale {
+        ExperimentScale::Tiny => "tiny",
+        ExperimentScale::Bench => "bench",
+        ExperimentScale::Paper => "paper",
+    };
+    let dir = shard_dir(cli);
+    if let Err(e) = spawn_shard_workers(cli.shards, &dir, &["--scale", scale], &[]) {
+        // lint: allow(print-in-lib) coordinator failure surface shared by the figure bins; exits immediately
+        eprintln!("shard coordinator: {e}");
+        std::process::exit(1);
+    }
+    dir
+}
+
+/// Worker half of the shard protocol for a latency study: fold shard
+/// `spec` of `label` with `threads` threads, spill it under `dir`, and
+/// close the run log with the shard's coordinate, pair range and spill
+/// file. Prints nothing to stdout; a failed spill exits 1.
+pub fn run_latency_worker(
+    label: &str,
+    cfg: &StudyConfig,
+    modes: &[Mode],
+    spec: ShardSpec,
+    threads: usize,
+    dir: &Path,
+) {
+    let run_label = shard_label(label, spec);
+    init_run(&run_label);
+    let (path, header) =
+        spill_latency_shard(cfg, modes, spec, threads, dir, label).unwrap_or_else(|e| {
+            // lint: allow(print-in-lib) worker failure surface shared by the sharded bins; exits immediately
+            eprintln!("{label} shard {spec}: {e}");
+            std::process::exit(1);
+        });
+    finish_run_with(
+        &run_label,
+        cfg,
+        &[
+            ("shard", spec.to_string()),
+            ("pair_lo", header.pair_lo.to_string()),
+            ("pair_hi", header.pair_hi.to_string()),
+            ("shard_file", path.display().to_string()),
+        ],
+    );
 }
 
 /// The scale's config with at least `min_cities` cities — the named-pair

@@ -261,7 +261,7 @@ fn rtt_series_stats(stdout: &str) -> Vec<Vec<String>> {
 #[test]
 fn merged_shard_run_logs_match_single_run_series() {
     // End to end through the real driver: fig2 at tiny scale, once
-    // sharded over 2 spawned workers, once unsharded. The merged worker
+    // sharded over 2 worker processes, once unsharded. The merged worker
     // series must reproduce the single-process series statistics
     // exactly.
     let dir = std::env::temp_dir().join(format!("leo_report_merge_fig2_{}", std::process::id()));
@@ -288,13 +288,7 @@ fn merged_shard_run_logs_match_single_run_series() {
     // coordinator's log, which this test doesn't read.
     run(&[]);
     let shards = dir.join("shards");
-    run(&[
-        "--shards",
-        "2",
-        "--spawn",
-        "--shard-dir",
-        shards.to_str().unwrap(),
-    ]);
+    run(&["--shards", "2", "--shard-dir", shards.to_str().unwrap()]);
     let single = report(&[dir.join("RUN_fig2_latency.jsonl").to_str().unwrap()]);
     assert!(single.status.success());
     let merged = report(&[

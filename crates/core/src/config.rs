@@ -180,11 +180,13 @@ impl StudyConfig {
 
 /// Canned configuration sizes, so tests, benches, and full paper runs
 /// share one definition of "how big".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExperimentScale {
     /// Seconds-fast: unit/integration tests.
     Tiny,
-    /// Tens of seconds: criterion benches and CI.
+    /// Tens of seconds: criterion benches and CI; the figure bins'
+    /// default.
+    #[default]
     Bench,
     /// The paper's full setup: 1,000 cities, 5,000 pairs, 96 snapshots,
     /// 0.5° relay grid. Minutes to hours depending on experiment.

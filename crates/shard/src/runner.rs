@@ -12,16 +12,12 @@
 //! global pair order, which is why `K`-sharded output is bit-identical
 //! to `K = 1`.
 //!
-//! Two execution styles share this module:
-//!
-//! * **In-process** ([`run_latency_sharded`], [`run_flow_sharded`]):
-//!   workers fan out on [`leo_core::par::parallel_map`], each folding
-//!   its shard single-threaded, spilling, then merging — used by the
-//!   drivers' `--shards K` mode and the equivalence tests.
-//! * **Out-of-core** ([`spill_latency_shard`], [`spill_flow_shard`] +
-//!   [`merge_latency_files`], [`merge_flow_files`]): each worker is its
-//!   own OS process (`--shard i/K --shard-dir D`), holding only
-//!   `O(pairs/K)` pair state; a coordinator merges the spill files.
+//! There is one execution path. Each worker is its own OS process
+//! (`--shard i/K --shard-dir D`) that runs [`spill_latency_shard`] or
+//! [`spill_flow_shard`] and so holds only `O(pairs/K)` pair state; the
+//! coordinator then merges the spill files with [`merge_latency_files`]
+//! or [`merge_flow_files`]. Tests and benches drive the same two halves
+//! in one process, one shard after another.
 
 use crate::codec::{read_shard, write_shard, PayloadKind, ShardError, ShardHeader};
 use crate::keepers::{
@@ -30,9 +26,8 @@ use crate::keepers::{
 use crate::partition::ShardSpec;
 use leo_core::experiments::latency::latency_studies;
 use leo_core::experiments::throughput::route_pair_paths;
-use leo_core::par::parallel_map;
 use leo_core::{Mode, StudyConfig, StudyContext};
-use leo_util::telemetry::{fnv1a_64, Heartbeat};
+use leo_util::telemetry::fnv1a_64;
 use std::path::{Path, PathBuf};
 
 /// The run-identity hash stamped into shard headers: FNV-1a 64 of the
@@ -82,32 +77,41 @@ fn header_for(
     }
 }
 
-/// Run one latency shard: fold `modes` over the configured snapshots
-/// for this shard's pairs only. `threads` is the *intra-shard* worker
-/// count (workers fanning out across shards pass 1).
-pub fn latency_shard(
+/// Run one latency shard — fold `modes` over the configured snapshots
+/// for this shard's pairs only, with `threads` threads (0 = one per
+/// core) — and spill it to `dir`; returns the file path and the header
+/// written to it (its pair range included).
+pub fn spill_latency_shard(
     cfg: &StudyConfig,
     modes: &[Mode],
     spec: ShardSpec,
     threads: usize,
-) -> (ShardHeader, LatencyKeepers) {
+    dir: &Path,
+    label: &str,
+) -> Result<(PathBuf, ShardHeader), ShardError> {
     let (ctx, range) = restricted_context(cfg, spec);
     let studies = latency_studies(&ctx, modes, threads);
     let total = cfg.snapshot_times_s.len() as u64;
     let keepers = LatencyKeepers::from_stats(&studies, modes, total);
-    (header_for(cfg, spec, &range, PayloadKind::Latency), keepers)
+    let header = header_for(cfg, spec, &range, PayloadKind::Latency);
+    let path = dir.join(shard_file_name(label, spec));
+    write_shard(&path, &header, &keepers.encode())?;
+    Ok((path, header))
 }
 
-/// Run one throughput-routing shard: route every `(mode, k)` combo at
-/// `t_s` for this shard's pairs and keep the per-pair path edge sets.
-/// The global max-min solve happens after the merge, on the full
+/// Run one throughput-routing shard — route every `(mode, k)` combo at
+/// `t_s` for this shard's pairs and keep the per-pair path edge sets —
+/// and spill it to `dir`; returns the file path and the header written
+/// to it. The global max-min solve happens after the merge, on the full
 /// concatenated path list.
-pub fn flow_shard(
+pub fn spill_flow_shard(
     cfg: &StudyConfig,
     t_s: f64,
     combos: &[(Mode, usize)],
     spec: ShardSpec,
-) -> (ShardHeader, FlowPathsKeepers) {
+    dir: &Path,
+    label: &str,
+) -> Result<(PathBuf, ShardHeader), ShardError> {
     let (ctx, range) = restricted_context(cfg, spec);
     let mut modes: Vec<Mode> = Vec::new();
     for &(m, _) in combos {
@@ -134,40 +138,11 @@ pub fn flow_shard(
             }
         })
         .collect();
-    (
-        header_for(cfg, spec, &range, PayloadKind::FlowPaths),
-        FlowPathsKeepers { combos },
-    )
-}
-
-/// Run one latency shard and spill it to `dir`; returns the file path.
-pub fn spill_latency_shard(
-    cfg: &StudyConfig,
-    modes: &[Mode],
-    spec: ShardSpec,
-    threads: usize,
-    dir: &Path,
-    label: &str,
-) -> Result<PathBuf, ShardError> {
-    let (header, keepers) = latency_shard(cfg, modes, spec, threads);
+    let header = header_for(cfg, spec, &range, PayloadKind::FlowPaths);
+    let keepers = FlowPathsKeepers { combos };
     let path = dir.join(shard_file_name(label, spec));
     write_shard(&path, &header, &keepers.encode())?;
-    Ok(path)
-}
-
-/// Run one throughput-routing shard and spill it to `dir`.
-pub fn spill_flow_shard(
-    cfg: &StudyConfig,
-    t_s: f64,
-    combos: &[(Mode, usize)],
-    spec: ShardSpec,
-    dir: &Path,
-    label: &str,
-) -> Result<PathBuf, ShardError> {
-    let (header, keepers) = flow_shard(cfg, t_s, combos, spec);
-    let path = dir.join(shard_file_name(label, spec));
-    write_shard(&path, &header, &keepers.encode())?;
-    Ok(path)
+    Ok((path, header))
 }
 
 /// Read, decode, and merge latency shard files (any order).
@@ -190,52 +165,24 @@ pub fn merge_flow_files(paths: &[PathBuf]) -> Result<(MergedRun, FlowPathsKeeper
     merge_flow_shards(shards)
 }
 
-/// In-process sharded latency run: fan `count` single-threaded workers
-/// out on [`parallel_map`], spill each shard to `dir`, then merge the
-/// spill files. Returns the merged keepers plus the spill paths (left
-/// on disk for inspection / the CI byte-identity lane).
-///
-/// Ticks a `shard_latency` [`Heartbeat`] per completed shard.
-pub fn run_latency_sharded(
-    cfg: &StudyConfig,
-    modes: &[Mode],
-    count: usize,
-    dir: &Path,
-    label: &str,
-) -> Result<(MergedRun, LatencyKeepers, Vec<PathBuf>), ShardError> {
-    let specs = ShardSpec::all(count);
-    let hb = Heartbeat::new("shard_latency", count as u64);
-    let spilled = parallel_map(&specs, count, |&spec| {
-        let r = spill_latency_shard(cfg, modes, spec, 1, dir, label);
-        hb.tick(1);
-        r
-    });
-    let mut paths = Vec::with_capacity(count);
-    for r in spilled {
-        paths.push(r?);
-    }
-    let (run, keepers) = merge_latency_files(&paths)?;
-    Ok((run, keepers, paths))
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// In-process sharded throughput routing: shards run sequentially —
-/// [`route_pair_paths`] already parallelizes across pairs inside each
-/// shard, so nesting a worker pool would only oversubscribe. Spills to
-/// `dir` and merges like [`run_latency_sharded`].
-pub fn run_flow_sharded(
-    cfg: &StudyConfig,
-    t_s: f64,
-    combos: &[(Mode, usize)],
-    count: usize,
-    dir: &Path,
-    label: &str,
-) -> Result<(MergedRun, FlowPathsKeepers, Vec<PathBuf>), ShardError> {
-    let hb = Heartbeat::new("shard_flow", count as u64);
-    let mut paths = Vec::with_capacity(count);
-    for spec in ShardSpec::all(count) {
-        paths.push(spill_flow_shard(cfg, t_s, combos, spec, dir, label)?);
-        hb.tick(1);
+    #[test]
+    fn spills_return_the_header_they_wrote() {
+        let dir = std::env::temp_dir().join(format!("leo_shard_runner_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let cfg = leo_core::ExperimentScale::Tiny.config();
+        let spec = ShardSpec::new(1, 3).expect("valid spec");
+        for (path, header) in [
+            spill_latency_shard(&cfg, &[Mode::BpOnly], spec, 1, &dir, "lat"),
+            spill_flow_shard(&cfg, 0.0, &[(Mode::Hybrid, 1)], spec, &dir, "flow"),
+        ]
+        .map(|spilled| spilled.expect("spill"))
+        {
+            assert_eq!(header, read_shard(&path).expect("read back").0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let (run, keepers) = merge_flow_files(&paths)?;
-    Ok((run, keepers, paths))
 }

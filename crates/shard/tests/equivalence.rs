@@ -1,13 +1,20 @@
-//! The tentpole contract: a `K`-sharded run — restricted contexts,
+//! The sharding contract: a `K`-sharded run — restricted contexts,
 //! spill files, and all — reproduces the single-process study results
 //! **bit-identically**, for both the latency fold and the throughput
-//! routing + global solve.
+//! routing + global solve. The shards are spilled one after another
+//! here, through the same two halves (`spill_*_shard`, then
+//! `merge_*_files`) that OS workers and their coordinator run, and the
+//! merge must not depend on the order of the file list.
 
 use leo_core::experiments::latency::{latency_studies, PairStats};
 use leo_core::experiments::throughput::{route_pair_paths, throughput_from_path_edges};
 use leo_core::{ExperimentScale, Mode, StudyContext};
 use leo_flow::FlowWorkspace;
-use leo_shard::runner::{combo_tag, config_hash, run_flow_sharded, run_latency_sharded};
+use leo_shard::runner::{
+    combo_tag, config_hash, merge_flow_files, merge_latency_files, spill_flow_shard,
+    spill_latency_shard,
+};
+use leo_shard::ShardSpec;
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("leo_shard_{name}_{}", std::process::id()));
@@ -49,15 +56,21 @@ fn sharded_latency_is_bit_identical_to_single_process() {
 
     for k in [1usize, 3] {
         let dir = scratch_dir(&format!("lat{k}"));
-        let (run, keepers, files) =
-            run_latency_sharded(&cfg, &modes, k, &dir, "equiv").expect("sharded run");
-        assert_eq!(files.len(), k);
-        assert_eq!(run.shard_count, k as u32);
-        assert_eq!(run.n_pairs as usize, ctx.pairs.len());
-        assert_eq!(run.config_hash, config_hash(&cfg));
-        assert_eq!(run.seed, cfg.seed);
-        let merged = keepers.to_stats(&ctx.pairs).expect("restore stats");
-        assert_stats_eq(&full, &merged);
+        let mut files: Vec<_> = ShardSpec::all(k)
+            .into_iter()
+            .map(|spec| spill_latency_shard(&cfg, &modes, spec, 1, &dir, "equiv"))
+            .map(|spilled| spilled.expect("spill").0)
+            .collect();
+        for _ in 0..2 {
+            let (run, keepers) = merge_latency_files(&files).expect("merge");
+            assert_eq!(run.shard_count, k as u32);
+            assert_eq!(run.n_pairs as usize, ctx.pairs.len());
+            assert_eq!(run.config_hash, config_hash(&cfg));
+            assert_eq!(run.seed, cfg.seed);
+            let merged = keepers.to_stats(&ctx.pairs).expect("restore stats");
+            assert_stats_eq(&full, &merged);
+            files.reverse();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -74,10 +87,17 @@ fn sharded_throughput_is_bit_identical_to_single_process() {
     let snaps = ctx.snapshot_bundle(t_s, &modes);
 
     let dir = scratch_dir("flow");
-    let (run, merged, files) =
-        run_flow_sharded(&cfg, t_s, &combos, 2, &dir, "equiv").expect("sharded run");
-    assert_eq!(files.len(), 2);
+    let files: Vec<_> = ShardSpec::all(2)
+        .into_iter()
+        .map(|spec| spill_flow_shard(&cfg, t_s, &combos, spec, &dir, "equiv"))
+        .map(|spilled| spilled.expect("spill").0)
+        .collect();
+    let (run, merged) = merge_flow_files(&files).expect("merge");
     assert_eq!(run.n_pairs as usize, ctx.pairs.len());
+    let reversed: Vec<_> = files.iter().rev().cloned().collect();
+    let (run_rev, merged_rev) = merge_flow_files(&reversed).expect("merge reversed");
+    assert_eq!(run_rev, run);
+    assert_eq!(merged_rev, merged);
 
     for (ci, &(mode, k)) in combos.iter().enumerate() {
         let snap = &snaps[modes.iter().position(|&m| m == mode).expect("mode")];

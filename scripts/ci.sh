@@ -56,15 +56,16 @@
 #    snapshot_bundle rebuild by >= 1.5x (committed BENCH_snapshot.json
 #    shows ~2.2x; same loose-floor rationale as the routing gate).
 # 11. Shard identity lanes: bench-scale fig2 and fig4 each run
-#    unsharded and as 4 spawned OS shard workers (spill + merge); stdout
-#    and the CSV must be byte-identical. This is the out-of-core
-#    contract — sharding is an execution strategy, never a result
-#    change.
-# 12. Shard-bench smoke: run benches/shard.rs and require the 4-shard
-#    merge (decode + validate + concatenate + sketch merges) to cost
-#    <= 5% of one unsharded latency fold (committed BENCH_shard.json
-#    shows ~0.3%; the loose ceiling is loud if the merge ever turns
-#    into a per-pair recompute).
+#    unsharded and with --shards 4, which spawns 4 OS worker processes
+#    (spill) and merges their spill files; stdout and the CSV must be
+#    byte-identical. This is the out-of-core contract — sharding is an
+#    execution strategy, never a result change.
+# 12. Shard-bench smoke: run benches/shard.rs and require the
+#    coordinator's 4-shard merge (decode + validate + concatenate +
+#    sketch merges, the merge_4_shards arm) to cost <= 5% of one
+#    unsharded latency fold (latency_unsharded; committed
+#    BENCH_shard.json shows ~0.3%; the loose ceiling is loud if the
+#    merge ever turns into a per-pair recompute).
 # 13. Million-pair smoke (opt-in: LEO_CI_MILLION_PAIRS=1, ~1 min):
 #    ext_million_pairs at full scale — 1,000,000 pairs over 4 workers,
 #    each asserted under a 512 MiB peak-RSS budget via its manifest.
@@ -212,15 +213,15 @@ awk -F'"median_ns":' '
 ' "$log_dir/BENCH_snapshot.json"
 
 repo_root=$(pwd)
-# shard_identity <bin>: bench-scale <bin> run unsharded and as 4 spawned
-# shard workers; stdout and results/<bin>.csv must be byte-identical.
+# shard_identity <bin>: bench-scale <bin> run unsharded and as 4 shard
+# worker processes; stdout and results/<bin>.csv must be byte-identical.
 shard_identity() {
-    echo "== shard identity: bench-scale $1, unsharded vs 4 spawned shards =="
+    echo "== shard identity: bench-scale $1, unsharded vs 4 shard workers =="
     shard_a=$(mktemp -d)
     shard_b=$(mktemp -d)
     (cd "$shard_a" && "$repo_root/target/release/$1" --scale bench > stdout.txt)
     (cd "$shard_b" && "$repo_root/target/release/$1" --scale bench \
-        --shards 4 --spawn > stdout.txt)
+        --shards 4 > stdout.txt)
     if ! diff -q "$shard_a/stdout.txt" "$shard_b/stdout.txt" ||
         ! diff -q "$shard_a/results/$1.csv" "$shard_b/results/$1.csv"; then
         echo "ERROR: sharded $1 output differs from the unsharded run" >&2
